@@ -1,13 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) on the synthetic 211-loop suite, then times the
-   pipeline stages with Bechamel.
+   evaluation (Section 6) on the synthetic 211-loop suite.
 
    Usage:
      bench/main.exe              -- everything
      bench/main.exe table1       -- just Table 1     (likewise table2)
      bench/main.exe fig5|fig6|fig7
      bench/main.exe ablation     -- partitioner/weight ablation (ours)
-     bench/main.exe timing       -- Bechamel micro-benchmarks only
      bench/main.exe quick        -- tables on a reduced suite (CI),
                                     plus BENCH_quick.json telemetry
      bench/main.exe quick-json [PATH] -- just the reduced-suite telemetry
@@ -474,42 +472,6 @@ let distribute ?(n = 120) () =
     "(on a wide machine pieces over-pipeline and pressure grows; on a narrow one\n\
     \ distribution trades a little steady-state time for less pressure per piece)"
 
-let timing () =
-  section "Bechamel timings: pipeline stages on daxpy-u8";
-  let open Bechamel in
-  let open Toolkit in
-  let loop = Workload.Kernels.daxpy ~unroll:8 in
-  let machine4 = Mach.Machine.paper_clustered ~clusters:4 ~copy_model:Mach.Machine.Embedded in
-  let ideal = Mach.Machine.paper_ideal in
-  let ddg = lazy (Ddg.Graph.of_loop loop) in
-  let tests =
-    [
-      Test.make ~name:"ddg-build" (Staged.stage (fun () -> Ddg.Graph.of_loop loop));
-      Test.make ~name:"min-ii"
-        (Staged.stage (fun () -> Ddg.Minii.min_ii ~width:16 (Lazy.force ddg)));
-      Test.make ~name:"ideal-modulo"
-        (Staged.stage (fun () -> Sched.Modulo.ideal ~machine:ideal (Lazy.force ddg)));
-      Test.make ~name:"rcg-build"
-        (Staged.stage (fun () -> Rcg.Build.of_loop ~machine:ideal loop));
-      Test.make ~name:"pipeline-4x4-embedded"
-        (Staged.stage (fun () -> Partition.Driver.pipeline ~machine:machine4 loop));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-      let results = Benchmark.all cfg instances test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n" name est
-          | Some _ | None -> Printf.printf "  %-28s (no estimate)\n" name)
-        results)
-    tests
-
 (* Machine-readable telemetry: one JSON file per bench run with the
    suite parameters, per-configuration aggregate metrics (the numbers
    behind Tables 1-2), and per-stage wall times from the span totals of
@@ -596,7 +558,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [-j N] [--no-cache] [--cache-dir DIR] \
      [table1|table2|fig5|fig6|fig7|ablation|wholeprog|schedulers\
-     |latency|registers|timing|quick|quick-json [PATH]|json]";
+     |latency|registers|quick|quick-json [PATH]|json]";
   exit 2
 
 let () =
@@ -631,7 +593,6 @@ let () =
   | [ "lowered" ] -> lowered ()
   | [ "specialized" ] -> specialized ()
   | [ "distribute" ] -> distribute ()
-  | [ "timing" ] -> timing ()
   | [ "quick" ] ->
       table1 ~n:32 ();
       table2 ~n:32 ();
@@ -653,6 +614,5 @@ let () =
       lowered ();
       specialized ();
       distribute ();
-      timing ();
       bench_json ~path:"BENCH_pipeline.json" ()
   | _ -> usage ()

@@ -4,14 +4,14 @@
     register-to-bank assignments, the lexicographic score
     [(MinII of the assignment, copies of the assignment)], where both
     components are computed {e exactly as the production pipeline does}
-    — {!Partition.Copies.insert_loop}, DDG rebuild over the rewritten
-    body, {!Sched.Modulo.clustered_mii}. Optimality claims are therefore
+    — {!Partition.Copies.insert_loop}, then {!Partition.Driver.rebuild}
+    of the rewritten body. Optimality claims are therefore
     scoped to the framework's copy-insertion policy (one shared copy per
     cross-bank (register, consuming cluster, reaching value)), which is
     the policy every heuristic under comparison also uses. *)
 
 type leaf = {
-  mii : int;     (** [Sched.Modulo.clustered_mii] of the rewritten loop *)
+  mii : int;     (** clustered MinII of the rewritten loop *)
   copies : int;  (** [Partition.Copies.n_copies] *)
 }
 
@@ -21,6 +21,10 @@ val static_lower : machine:Mach.Machine.t -> Ddg.Graph.t -> int
     recurrence bound of the {e original} DDG (copy insertion reroutes
     every recurrence circuit through copies of non-negative latency and
     preserves total distance, so RecMII never decreases). *)
+
+val copies_mii : machine:Mach.Machine.t -> Partition.Copies.result -> int
+(** Clustered MinII of a copy-rewritten body: {!Partition.Driver.rebuild}
+    over the copy inserter's body, assignment and per-cluster loads. *)
 
 val leaf_exact : machine:Mach.Machine.t -> loop:Ir.Loop.t -> Partition.Assign.t -> leaf
 (** Score of one total assignment, byte-for-byte the numbers

@@ -186,15 +186,7 @@ let run ?(budget = 300_000) ?(cancel = fun () -> false) ~machine ~space
       incr pruned
     else begin
       incr leaves;
-      let ddg' =
-        Ddg.Graph.of_loop ~latency:m.Mach.Machine.latency ins.Partition.Copies.loop
-      in
-      let mii =
-        Sched.Modulo.clustered_mii ~machine:m
-          ~ops_per_cluster:ins.Partition.Copies.ops_per_cluster
-          ~copies_per_cluster:ins.Partition.Copies.copies_per_cluster ddg'
-      in
-      record bank mii copies
+      record bank (Bounds.copies_mii ~machine:m ins) copies
     end
   in
   (* ---- Search --------------------------------------------------------- *)

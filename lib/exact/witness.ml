@@ -8,23 +8,18 @@ type t = {
   copies : int;
 }
 
-let realize ?budget_ratio ~machine ~loop assignment =
-  let m : Mach.Machine.t = machine in
-  match Partition.Copies.insert_loop ~machine:m ~assignment loop with
+let realize ~machine ~loop assignment =
+  match Partition.Copies.insert_loop ~machine ~assignment loop with
   | exception Invalid_argument msg -> Error msg
   | ins -> (
-      let ddg =
-        Ddg.Graph.of_loop ~latency:m.Mach.Machine.latency ins.Partition.Copies.loop
-      in
-      match Partition.Driver.cluster_map ins.Partition.Copies.assignment ins.Partition.Copies.loop with
-      | Error msg -> Error msg
-      | Ok cluster_of -> (
-          let mii =
-            Sched.Modulo.clustered_mii ~machine:m
-              ~ops_per_cluster:ins.Partition.Copies.ops_per_cluster
-              ~copies_per_cluster:ins.Partition.Copies.copies_per_cluster ddg
-          in
-          match Sched.Modulo.schedule ?budget_ratio ~cluster_of ~machine:m ~mii ddg with
+      match
+        Partition.Driver.rebuild
+          ~loads:(ins.Partition.Copies.ops_per_cluster, ins.Partition.Copies.copies_per_cluster)
+          ~machine ~assignment:ins.Partition.Copies.assignment ins.Partition.Copies.loop
+      with
+      | Error e -> Error e.Verify.Stage_error.message
+      | Ok { ddg; cluster_of; mii } -> (
+          match Sched.Modulo.schedule ~cluster_of ~machine ~mii ddg with
           | None ->
               Error
                 (Printf.sprintf "no feasible II found for the clustered pipeline (MII %d)" mii)

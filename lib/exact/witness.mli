@@ -4,7 +4,8 @@
     is the full evidence an optimality claim rests on: the rewritten
     body with copies, its DDG, and an actual clustered kernel — built
     through exactly the production path ({!Partition.Copies.insert_loop},
-    DDG rebuild, {!Sched.Modulo.schedule} from the clustered MinII), so
+    {!Partition.Driver.rebuild}, {!Sched.Modulo.schedule} from the
+    clustered MinII), so
     the claim is about schedules the framework really produces. *)
 
 type t = {
@@ -18,7 +19,6 @@ type t = {
 }
 
 val realize :
-  ?budget_ratio:int ->
   machine:Mach.Machine.t ->
   loop:Ir.Loop.t ->
   Partition.Assign.t ->

@@ -18,6 +18,13 @@ let cluster_of_op t (op : Ir.Op.t) =
 
 let of_list l = List.fold_left (fun acc (r, b) -> Ir.Vreg.Map.add r b acc) Ir.Vreg.Map.empty l
 
+let park loop t =
+  Ir.Vreg.Set.fold
+    (fun r acc -> if Ir.Vreg.Map.mem r acc then acc else Ir.Vreg.Map.add r 0 acc)
+    (Ir.Loop.vregs loop) t
+
+let single_bank loop = park loop Ir.Vreg.Map.empty
+
 let counts ~banks t =
   let a = Array.make banks 0 in
   Ir.Vreg.Map.iter

@@ -20,6 +20,14 @@ val cluster_of_op : t -> Ir.Op.t -> int
 
 val of_list : (Ir.Vreg.t * int) list -> t
 
+val park : Ir.Loop.t -> t -> t
+(** [park loop a] puts every register of [loop] that [a] misses in
+    bank 0, leaving the others where [a] has them. *)
+
+val single_bank : Ir.Loop.t -> t
+(** Every register of the loop in bank 0: the assignment of a monolithic
+    machine and of the resilient ladder's merge and surrender rungs. *)
+
 val counts : banks:int -> t -> int array
 (** Registers per bank. Raises [Invalid_argument] if an assignment is out
     of range. *)

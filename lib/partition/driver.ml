@@ -46,7 +46,18 @@ let partitioner_name = function
   | Uas -> "uas"
   | Custom _ -> "custom"
 
-let choose_partition ?obs partitioner ~machine ~ddg ~ideal_kernel ~depth =
+let deadline_code = "PIPE008"
+
+let clustered_ipc ~machine kernel =
+  (* Table 1: copies occupy an FU slot under the embedded model only. *)
+  let count (op : Ir.Op.t) =
+    match machine.Mach.Machine.copy_model with
+    | Mach.Machine.Embedded -> true
+    | Mach.Machine.Copy_unit -> not (Ir.Op.is_copy op)
+  in
+  Sched.Kernel.ipc ~count kernel
+
+let partition ?obs partitioner ~machine ~ddg ~ideal_kernel ~depth =
   match partitioner with
   | Bug -> Bug.partition ~machine ddg
   | Uas -> Uas.partition ~machine ddg
@@ -61,6 +72,60 @@ let choose_partition ?obs partitioner ~machine ~ddg ~ideal_kernel ~depth =
       let src = Rcg.Build.source_of_kernel ~ddg ~depth ideal_kernel in
       let rcg = Rcg.Build.build src in
       f machine ddg (Some rcg)
+
+let assign ?obs partitioner ~machine ~ddg ~ideal_kernel loop =
+  let fail ?code msg =
+    Error
+      (Verify.Stage_error.make ?code ~stage:Verify.Stage_error.Partitioning
+         ~subject:(Ir.Loop.name loop) msg)
+  in
+  match partition ?obs partitioner ~machine ~ddg ~ideal_kernel ~depth:(Ir.Loop.depth loop) with
+  | exception Invalid_argument msg ->
+      (* A partitioner rejecting its input (bad pins, banks < 1, a custom
+         function raising) is data-dependent, not a bug here. *)
+      fail msg
+  | assignment ->
+      (* Registers the RCG may have missed (none in practice) park in 0. *)
+      let assignment = Assign.park loop assignment in
+      if Assign.all_in_range ~banks:machine.Mach.Machine.clusters assignment then Ok assignment
+      else
+        (* Caught here so neither copy insertion nor the resource tables
+           ever see an out-of-range bank (they treat that as an internal
+           invariant and raise). *)
+        fail ~code:"PT002" "assignment names a bank the machine lacks"
+
+type timer = { time : 'a. string -> (unit -> 'a) -> 'a }
+
+type rebuilt = { ddg : Ddg.Graph.t; cluster_of : int -> int; mii : int }
+
+let rebuild ?(timer = { time = (fun _ f -> f ()) }) ?loads ~machine ~assignment body =
+  let m : Mach.Machine.t = machine in
+  let ddg = timer.time "ddg.rebuild" (fun () -> Ddg.Graph.of_loop ~latency:m.latency body) in
+  timer.time "sched.minii" @@ fun () ->
+  match cluster_map assignment body with
+  | Error msg ->
+      Error
+        (Verify.Stage_error.make ~code:"PT001" ~stage:Verify.Stage_error.Partitioning
+           ~subject:(Ir.Loop.name body) msg)
+  | Ok cluster_of ->
+      let ops_per_cluster, copies_per_cluster =
+        match loads with
+        | Some loads -> loads
+        | None ->
+            let opsc = Array.make m.clusters 0 and cpc = Array.make m.clusters 0 in
+            List.iter
+              (fun op ->
+                let c = cluster_of (Ir.Op.id op) in
+                if Ir.Op.is_copy op then cpc.(c) <- cpc.(c) + 1 else opsc.(c) <- opsc.(c) + 1)
+              (Ir.Loop.ops body);
+            (opsc, cpc)
+      in
+      Ok
+        {
+          ddg;
+          cluster_of;
+          mii = Sched.Modulo.clustered_mii ~machine:m ~ops_per_cluster ~copies_per_cluster ddg;
+        }
 
 (* Feed [copies.inserted{SRC->DST}] from the copy ops of a rewritten
    body: a copy's source bank is its (sole) use's, its destination bank
@@ -84,8 +149,6 @@ let count_copy_pairs obs ~assignment ops =
 
 type scheduler = Rau | Swing
 
-let deadline_code = "PIPE008"
-
 let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights.default)
     ?(scheduler = Rau) ?budget_ratio ?(verify = false) ~machine loop =
   let m : Mach.Machine.t = machine in
@@ -96,6 +159,7 @@ let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights
         ("partitioner", partitioner_name partitioner) ]
   @@ fun () ->
   let fail ?code stage message = Error (Verify.Stage_error.make ?code ~stage ~subject message) in
+  let ( let* ) = Stdlib.Result.bind in
   (* Cooperative deadline, polled at stage boundaries exactly as the
      resilient ladder does: a fired token turns into an ordinary stage
      failure carrying PIPE008, never an exception. *)
@@ -143,38 +207,17 @@ let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights
         verified stages @@ fun () ->
         Ok
           {
-            loop; machine = m; ideal; clustered = ideal;
-            assignment =
-              Assign.of_list
-                (List.map (fun r -> (r, 0)) (Ir.Vreg.Set.elements (Ir.Loop.vregs loop)));
+            loop; machine = m; ideal; clustered = ideal; assignment = Assign.single_bank loop;
             rewritten = loop; n_copies = 0; degradation = 100.0; ipc_ideal;
             ipc_clustered = ipc_ideal;
           }
       else begin
         deadline Verify.Stage_error.Partitioning @@ fun () ->
-        match
+        let* assignment =
           Obs.Trace.span obs "partition" (fun () ->
-              choose_partition ?obs partitioner ~machine:m ~ddg
-                ~ideal_kernel:ideal.Sched.Modulo.kernel ~depth:(Ir.Loop.depth loop))
-        with
-        | exception Invalid_argument msg ->
-            (* A partitioner rejecting its input (bad pins, banks < 1, a
-               custom function raising) is data-dependent, not a bug here. *)
-            fail Verify.Stage_error.Partitioning msg
-        | assignment -> (
-        (* Registers the RCG may have missed (none in practice) park in 0. *)
-        let assignment =
-          Ir.Vreg.Set.fold
-            (fun r acc -> if Ir.Vreg.Map.mem r acc then acc else Ir.Vreg.Map.add r 0 acc)
-            (Ir.Loop.vregs loop) assignment
+              assign ?obs partitioner ~machine:m ~ddg ~ideal_kernel:ideal.Sched.Modulo.kernel
+                loop)
         in
-        if not (Assign.all_in_range ~banks:m.clusters assignment) then
-          (* Caught here so neither copy insertion nor the resource tables
-             ever see an out-of-range bank (they treat that as an internal
-             invariant and raise). *)
-          fail ~code:"PT002" Verify.Stage_error.Partitioning
-            "assignment names a bank the machine lacks"
-        else
         deadline Verify.Stage_error.Copy_insertion @@ fun () ->
         match
           Obs.Trace.span obs "copies.insert" (fun () ->
@@ -184,39 +227,25 @@ let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights
         | ins -> (
         count_copy_pairs obs ~assignment:ins.Copies.assignment
           (Ir.Loop.ops ins.Copies.loop);
-        let ddg' =
-          Obs.Trace.span obs "ddg.rebuild" (fun () ->
-              Ddg.Graph.of_loop ~latency:m.latency ins.Copies.loop)
+        let* rb =
+          rebuild
+            ~timer:{ time = (fun name f -> Obs.Trace.span obs name f) }
+            ~loads:(ins.Copies.ops_per_cluster, ins.Copies.copies_per_cluster)
+            ~machine:m ~assignment:ins.Copies.assignment ins.Copies.loop
         in
-        match cluster_map ins.Copies.assignment ins.Copies.loop with
-        | Error msg -> fail ~code:"PT001" Verify.Stage_error.Partitioning msg
-        | Ok cluster_of -> (
         deadline Verify.Stage_error.Clustered_schedule @@ fun () ->
-        let mii =
-          Sched.Modulo.clustered_mii ~machine:m
-            ~ops_per_cluster:ins.Copies.ops_per_cluster
-            ~copies_per_cluster:ins.Copies.copies_per_cluster ddg'
-        in
-        Obs.Trace.set_gauge obs Obs.Counter.Clustered_mii mii;
-        match schedule_clustered ~cluster_of ~mii ddg' with
+        Obs.Trace.set_gauge obs Obs.Counter.Clustered_mii rb.mii;
+        match schedule_clustered ~cluster_of:rb.cluster_of ~mii:rb.mii rb.ddg with
         | None ->
             fail Verify.Stage_error.Clustered_schedule
-              (Printf.sprintf "no feasible II found for the clustered pipeline (MII %d)" mii)
+              (Printf.sprintf "no feasible II found for the clustered pipeline (MII %d)" rb.mii)
         | Some clustered ->
-            let count_op (op : Ir.Op.t) =
-              match m.copy_model with
-              | Mach.Machine.Embedded -> true
-              | Mach.Machine.Copy_unit -> not (Ir.Op.is_copy op)
-            in
-            let ipc_clustered =
-              Sched.Kernel.ipc ~count:count_op clustered.Sched.Modulo.kernel
-            in
             let stages =
               {
                 (Verify.Pipeline.stages ~machine:m loop) with
                 Verify.Pipeline.ideal = Some (ddg, ideal.Sched.Modulo.kernel);
                 partition = Some (ins.Copies.assignment, ins.Copies.loop);
-                clustered = Some (ddg', clustered.Sched.Modulo.kernel);
+                clustered = Some (rb.ddg, clustered.Sched.Modulo.kernel);
               }
             in
             verified stages @@ fun () ->
@@ -228,6 +257,7 @@ let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights
                 degradation =
                   100.0 *. float_of_int clustered.Sched.Modulo.ii
                   /. float_of_int ideal.Sched.Modulo.ii;
-                ipc_ideal; ipc_clustered;
-              })))
+                ipc_ideal;
+                ipc_clustered = clustered_ipc ~machine:m clustered.Sched.Modulo.kernel;
+              })
       end

@@ -43,8 +43,10 @@ val partitioner_name : partitioner -> string
     reports use. *)
 
 val deadline_code : string
-(** ["PIPE008"] — the code a fired [cancel] token surfaces as, the same
-    code the resilient ladder in [lib/robust] uses. *)
+(** ["PIPE008"] — the code a fired [cancel] token surfaces as, here and
+    in the resilient ladder of [lib/robust]: the discriminator callers
+    use to tell "the deadline fired" from "the loop could not be
+    compiled". *)
 
 val pipeline :
   ?obs:Obs.Trace.t ->
@@ -77,25 +79,56 @@ val pipeline :
     [obs] (default off) traces the Section-4 stages as a span tree —
     one [pipeline] root per call with [ddg.build], [schedule.ideal],
     [partition] (and [rcg.build] / [greedy.partition] inside it),
-    [copies.insert], [ddg.rebuild], [schedule.clustered] and (under
-    [~verify]) [verify] children — and feeds the scheduler, greedy and
+    [copies.insert], [ddg.rebuild], [sched.minii] (cluster map and
+    clustered MinII), [schedule.clustered] and (under [~verify])
+    [verify] children — and feeds the scheduler, greedy and
     [copies.inserted{SRC->DST}] counters plus the
     [sched.clustered_mii] gauge. With no context every probe is one
     branch and behaviour is unchanged. *)
 
-val choose_partition :
+val assign :
   ?obs:Obs.Trace.t ->
   partitioner ->
   machine:Mach.Machine.t ->
   ddg:Ddg.Graph.t ->
   ideal_kernel:Sched.Kernel.t ->
-  depth:int ->
-  Assign.t
-(** Run just the partitioning step (step 3) the way [pipeline] would:
-    RCG-based methods build their graph from the ideal kernel. Exposed
-    for the resilient ladder driver in [lib/robust], which retries with
-    different partitioners. May raise [Invalid_argument] for malformed
-    inputs (callers turn that into a {!Verify.Stage_error}). *)
+  Ir.Loop.t ->
+  (Assign.t, Verify.Stage_error.t) Stdlib.result
+(** Step 3 as [pipeline] runs it: the partitioner (RCG-based methods
+    build their graph from the ideal kernel, under an [rcg.build] span),
+    then every register the partitioner missed parked in bank 0. Fails
+    at the [Partitioning] stage when the partitioner raises
+    [Invalid_argument] and with [PT002] when a bank is out of range. *)
+
+type timer = { time : 'a. string -> (unit -> 'a) -> 'a }
+(** Wraps a named part of {!rebuild}. The step emits no spans; a caller
+    that traces passes a timer opening its own spans. *)
+
+type rebuilt = {
+  ddg : Ddg.Graph.t;         (** of the rebuilt body *)
+  cluster_of : int -> int;   (** op id -> cluster, from {!cluster_map} *)
+  mii : int;                 (** {!Sched.Modulo.clustered_mii} *)
+}
+
+val rebuild :
+  ?timer:timer ->
+  ?loads:int array * int array ->
+  machine:Mach.Machine.t ->
+  assignment:Assign.t ->
+  Ir.Loop.t ->
+  (rebuilt, Verify.Stage_error.t) Stdlib.result
+(** What step 4 derives from a (copy-rewritten, possibly spilled) body
+    and its assignment before scheduling it: the DDG (timed as
+    ["ddg.rebuild"]), the op-to-cluster map and the clustered MinII
+    (together timed as ["sched.minii"]). [loads] are the per-cluster
+    (op, arriving copy) counts the resource bound uses; by default they
+    are counted from the body, and callers holding a
+    {!Copies.result} pass its own counts. Fails with [PT001] at the
+    [Partitioning] stage when the assignment misses a register. *)
+
+val clustered_ipc : machine:Mach.Machine.t -> Sched.Kernel.t -> float
+(** Kernel ops / II. Copies count under the embedded model and are
+    excluded under the copy-unit model, as in Table 1. *)
 
 val cluster_map : Assign.t -> Ir.Loop.t -> (int -> int, string) Stdlib.result
 (** [cluster_map assignment loop] is the op-id -> cluster function the

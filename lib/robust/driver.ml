@@ -22,7 +22,7 @@ type result = {
   rewritten : Ir.Loop.t;
   assignment : Partition.Assign.t;
   code : code;
-  alloc : Regalloc.Alloc.t option;
+  alloc : Regalloc.Alloc.t;
   rung : rung;
   n_copies : int;
   spill_count : int;
@@ -52,10 +52,7 @@ type config = {
   budget_schedule : int list;
   copy_saturation : float option;
   spill_rounds : int list;
-  reschedule_after_spill : bool;
   allow_non_pipelined : bool;
-  allocate : bool;
-  scheduler : Partition.Driver.scheduler;
 }
 
 let default_config =
@@ -69,10 +66,7 @@ let default_config =
     budget_schedule = [ 10; 40 ];
     copy_saturation = None;
     spill_rounds = [ 8; 32 ];
-    reschedule_after_spill = true;
     allow_non_pipelined = true;
-    allocate = true;
-    scheduler = Partition.Driver.Rau;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -92,7 +86,7 @@ let verify_diags (r : result) =
     {
       (Verify.Pipeline.stages ~machine:m r.loop) with
       Verify.Pipeline.partition = Some (r.assignment, r.rewritten);
-      alloc = Option.map alloc_view r.alloc;
+      alloc = Some (alloc_view r.alloc);
     }
   in
   match r.code with
@@ -104,8 +98,6 @@ let verify_diags (r : result) =
 (* ------------------------------------------------------------------ *)
 (* The ladder                                                          *)
 
-let deadline_code = "PIPE008"
-
 let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no_hooks)
     ~machine loop =
   let m : Mach.Machine.t = hooks.on_machine machine in
@@ -114,13 +106,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
   Obs.Trace.span obs "ladder"
     ~attrs:[ ("loop", subject); ("machine", m.Mach.Machine.name) ]
   @@ fun () ->
-  let budgets =
-    match (config.scheduler, config.budget_schedule) with
-    | _, [] -> [ 10 ]
-    | Partition.Driver.Swing, b :: _ ->
-        [ b ] (* Swing has no placement budget; escalation cannot help *)
-    | Partition.Driver.Rau, bs -> bs
-  in
+  let budgets = if config.budget_schedule = [] then [ 10 ] else config.budget_schedule in
   let spill_rounds = if config.spill_rounds = [] then [ 8 ] else config.spill_rounds in
   let attempts = ref [] (* newest first *) in
   let log ?code ~rung stage detail =
@@ -129,11 +115,18 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
   (* Failures inside one rung carry (stage, optional code, detail). *)
   let ( let* ) = Stdlib.Result.bind in
   let stage_fail ?code stage detail = Error (stage, code, detail) in
+  let step = function
+    | Ok x -> Ok x
+    | Error (e : Verify.Stage_error.t) ->
+        stage_fail ~code:e.Verify.Stage_error.code e.Verify.Stage_error.stage
+          e.Verify.Stage_error.message
+  in
   (* Cooperative cancellation: polled at stage boundaries inside every
      rung and between rungs. A fired token turns the next boundary into
-     an ordinary stage failure carrying {!deadline_code}, so the rung
+     an ordinary stage failure carrying the deadline code, so the rung
      unwinds through the same path as any other failure — attempt
      logged, no artifact escapes — and the ladder stops descending. *)
+  let deadline_code = Partition.Driver.deadline_code in
   let guard stage =
     if cancel () then stage_fail ~code:deadline_code stage "deadline exceeded" else Ok ()
   in
@@ -150,66 +143,92 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
          (Printf.sprintf "deadline exceeded; ladder abandoned after %d attempts"
             (List.length !attempts)))
   in
-  let schedule_clustered ~budget ~cluster_of ~mii ddg =
-    match config.scheduler with
-    | Partition.Driver.Rau ->
-        Sched.Modulo.schedule ?obs ~budget_ratio:budget ~cluster_of ~machine:m ~mii ddg
-    | Partition.Driver.Swing -> Sched.Swing.schedule ?obs ~cluster_of ~machine:m ~mii ddg
+  let insert_copies assignment =
+    match Partition.Copies.insert_loop ~machine:m ~assignment loop with
+    | ins -> Ok ins
+    | exception Invalid_argument msg -> stage_fail Verify.Stage_error.Copy_insertion msg
   in
-  let single_bank_assignment body =
-    Partition.Assign.of_list
-      (List.map (fun r -> (r, 0)) (Ir.Vreg.Set.elements (Ir.Loop.vregs body)))
+  let modulo_schedule ?(what = "") ~budget (rb : Partition.Driver.rebuilt) =
+    match
+      Sched.Modulo.schedule ?obs ~budget_ratio:budget ~cluster_of:rb.cluster_of ~machine:m
+        ~mii:rb.mii rb.ddg
+    with
+    | Some o -> Ok o
+    | None ->
+        stage_fail Verify.Stage_error.Clustered_schedule
+          (Printf.sprintf "no feasible II%s (MII %d, budget_ratio %d)" what rb.mii budget)
+    | exception Invalid_argument msg -> stage_fail Verify.Stage_error.Clustered_schedule msg
   in
-  let cluster_loads cluster_of ops =
-    let opsc = Array.make m.clusters 0 and cpc = Array.make m.clusters 0 in
-    List.iter
-      (fun op ->
-        let c = cluster_of (Ir.Op.id op) in
-        if Ir.Op.is_copy op then cpc.(c) <- cpc.(c) + 1 else opsc.(c) <- opsc.(c) + 1)
-      ops;
-    (opsc, cpc)
+  let list_schedule (rb : Partition.Driver.rebuilt) =
+    match Sched.List_sched.schedule ~cluster_of:rb.cluster_of ~machine:m rb.ddg with
+    | s -> Ok s
+    | exception Invalid_argument msg -> stage_fail Verify.Stage_error.Clustered_schedule msg
   in
   (* Step 5, with escalating spill rounds; logs intermediate failures. *)
   let allocate_stage ~rung ~assignment body =
-    if not config.allocate then Ok None
-    else
-      let rec go = function
-        | [] -> assert false (* spill_rounds is non-empty *)
-        | [ mr ] -> (
-            match
-              Regalloc.Alloc.allocate_loop ?obs ~max_rounds:mr ~machine:m ~assignment body
-            with
-            | Ok a -> Ok (Some a)
-            | Error e ->
-                stage_fail ~code:e.Verify.Stage_error.code Verify.Stage_error.Allocation
-                  e.Verify.Stage_error.message)
-        | mr :: rest -> (
-            match
-              Regalloc.Alloc.allocate_loop ?obs ~max_rounds:mr ~machine:m ~assignment body
-            with
-            | Ok a -> Ok (Some a)
-            | Error e ->
-                log ~code:e.Verify.Stage_error.code ~rung Verify.Stage_error.Allocation
-                  (Printf.sprintf "%s (max_rounds %d)" e.Verify.Stage_error.message mr);
-                go rest)
-      in
-      go spill_rounds
+    let rec go = function
+      | [] -> assert false (* spill_rounds is non-empty *)
+      | mr :: rest -> (
+          match
+            Regalloc.Alloc.allocate_loop ?obs ~max_rounds:mr ~machine:m ~assignment body
+          with
+          | Ok a -> Ok a
+          | Error e when rest = [] ->
+              stage_fail ~code:e.Verify.Stage_error.code Verify.Stage_error.Allocation
+                e.Verify.Stage_error.message
+          | Error e ->
+              log ~code:e.Verify.Stage_error.code ~rung Verify.Stage_error.Allocation
+                (Printf.sprintf "%s (max_rounds %d)" e.Verify.Stage_error.message mr);
+              go rest)
+    in
+    go spill_rounds
   in
-  let check ?(stage = Verify.Stage_error.Verification) diags =
+  (* The allocator rewrote the body, so code scheduled before spilling no
+     longer matches the code we would emit: the spilled body is
+     rebuilt and rescheduled. *)
+  let spilled (a : Regalloc.Alloc.t) =
+    match
+      Ir.Loop.make ~depth:(Ir.Loop.depth loop) ~live_out:a.Regalloc.Alloc.live_out
+        ~trip_count:(Ir.Loop.trip_count loop) ~name:(Ir.Loop.name loop) a.Regalloc.Alloc.code
+    with
+    | sloop ->
+        let* rb =
+          step (Partition.Driver.rebuild ~machine:m ~assignment:a.Regalloc.Alloc.assignment sloop)
+        in
+        Ok (sloop, rb)
+    | exception Invalid_argument msg ->
+        stage_fail Verify.Stage_error.Allocation ("spill-rewritten body is malformed: " ^ msg)
+  in
+  let check diags =
     match Verify.Diag.errors diags with
     | [] -> Ok diags
     | first :: _ as errs ->
-        stage_fail ~code:first.Verify.Diag.code stage
+        stage_fail ~code:first.Verify.Diag.code Verify.Stage_error.Verification
           (Printf.sprintf "%s%s" (Verify.Diag.to_string first)
              (match List.length errs - 1 with
              | 0 -> ""
              | n -> Printf.sprintf " (and %d more errors)" n))
   in
-  let finish candidate =
+  let finish ~rung ~code ~n_copies ~rewritten (alloc : Regalloc.Alloc.t) =
+    let candidate =
+      {
+        loop; machine = m; rewritten; assignment = alloc.Regalloc.Alloc.assignment; code; alloc;
+        rung; n_copies; spill_count = alloc.Regalloc.Alloc.spill_count; attempts = [];
+        diags = [];
+      }
+    in
     let* () = guard Verify.Stage_error.Verification in
     (* The oracle has the final word regardless of which rung we came by. *)
     let* diags = check (verify_diags candidate) in
     Ok { candidate with diags; attempts = List.rev !attempts }
+  in
+  (* A rung's outcome: the result, or its failure logged under [rung]. *)
+  let settle ~rung = function
+    | Ok r -> Some r
+    | Error (stage, code, detail) ->
+        Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_failed 1;
+        log ?code ~rung stage detail;
+        None
   in
   (* One modulo-scheduled rung: the whole framework from partitioning on. *)
   let attempt_modulo ~ideal ~ddg ~partitioner ~budget =
@@ -221,158 +240,65 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     let rung = rung_name (mk_rung ~respilled:false) in
     Obs.Trace.span obs "ladder.rung" ~attrs:[ ("rung", rung) ] @@ fun () ->
     Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_entered 1;
-    let result =
-      let ideal_ii = ideal.Sched.Modulo.ii in
-      let* () = guard Verify.Stage_error.Partitioning in
-      let* assignment0 =
-        match partitioner with
-        | None -> Ok (single_bank_assignment loop)
-        | Some (_, p) -> (
-            match
-              Partition.Driver.choose_partition ?obs p ~machine:m ~ddg
-                ~ideal_kernel:ideal.Sched.Modulo.kernel ~depth:(Ir.Loop.depth loop)
-            with
-            | a -> Ok a
-            | exception Invalid_argument msg ->
-                stage_fail Verify.Stage_error.Partitioning msg)
-      in
-      let assignment0 =
-        Ir.Vreg.Set.fold
-          (fun r acc -> if Ir.Vreg.Map.mem r acc then acc else Ir.Vreg.Map.add r 0 acc)
-          (Ir.Loop.vregs loop) assignment0
-      in
-      let* () =
-        if Partition.Assign.all_in_range ~banks:m.clusters assignment0 then Ok ()
-        else
-          stage_fail ~code:"PT002" Verify.Stage_error.Partitioning
-            "assignment names a bank the machine lacks"
-      in
-      let* ins =
-        match Partition.Copies.insert_loop ~machine:m ~assignment:assignment0 loop with
-        | ins -> Ok ins
-        | exception Invalid_argument msg -> stage_fail Verify.Stage_error.Copy_insertion msg
-      in
-      let* () =
-        match config.copy_saturation with
-        | Some ratio
-          when float_of_int ins.Partition.Copies.n_copies
-               > ratio *. float_of_int (Ir.Loop.size loop) ->
-            stage_fail ~code:"PT005" Verify.Stage_error.Copy_insertion
-              (Printf.sprintf "copy-saturated partition: %d copies for %d ops"
-                 ins.Partition.Copies.n_copies (Ir.Loop.size loop))
-        | _ -> Ok ()
-      in
-      let assignment = hooks.on_assignment ins.Partition.Copies.assignment in
-      let rewritten = hooks.on_rewritten ins.Partition.Copies.loop in
-      let ddg' = Ddg.Graph.of_loop ~latency:m.latency rewritten in
-      let* cluster_of =
-        match Partition.Driver.cluster_map assignment rewritten with
-        | Ok f -> Ok f
-        | Error msg -> stage_fail ~code:"PT001" Verify.Stage_error.Partitioning msg
-      in
-      let mii =
-        max
-          (Ddg.Minii.res_mii_clustered ~machine:m
-             ~ops_per_cluster:ins.Partition.Copies.ops_per_cluster
-             ~copies_per_cluster:ins.Partition.Copies.copies_per_cluster)
-          (Ddg.Minii.rec_mii ddg')
-      in
-      let* () = guard Verify.Stage_error.Clustered_schedule in
-      let* clustered =
-        match schedule_clustered ~budget ~cluster_of ~mii ddg' with
-        | Some o -> Ok o
-        | None ->
-            stage_fail Verify.Stage_error.Clustered_schedule
-              (Printf.sprintf "no feasible II (MII %d, budget_ratio %d)" mii budget)
-        | exception Invalid_argument msg ->
-            stage_fail Verify.Stage_error.Clustered_schedule msg
-      in
-      let kernel = hooks.on_kernel clustered.Sched.Modulo.kernel in
-      (* Fail fast on a bad partition or schedule before paying for step 5. *)
-      let* _ =
-        check
-          (Verify.Pipeline.run
-             {
-               (Verify.Pipeline.stages ~machine:m loop) with
-               Verify.Pipeline.ideal = Some (ddg, ideal.Sched.Modulo.kernel);
-               partition = Some (assignment, rewritten);
-               clustered = Some (ddg', kernel);
-             })
-      in
-      let* () = guard Verify.Stage_error.Allocation in
-      let* alloc = allocate_stage ~rung ~assignment rewritten in
-      match alloc with
-      | Some a when a.Regalloc.Alloc.spill_count > 0 && config.reschedule_after_spill ->
-          (* Spill-and-reschedule: the allocator rewrote the body, so the
-             kernel we scheduled no longer matches the code we would emit.
-             Re-derive the clustered kernel over the spilled body. *)
-          let* sloop =
-            match
-              Ir.Loop.make ~depth:(Ir.Loop.depth loop) ~live_out:a.Regalloc.Alloc.live_out
-                ~trip_count:(Ir.Loop.trip_count loop) ~name:(Ir.Loop.name loop)
-                a.Regalloc.Alloc.code
-            with
-            | l -> Ok l
-            | exception Invalid_argument msg ->
-                stage_fail Verify.Stage_error.Allocation
-                  ("spill-rewritten body is malformed: " ^ msg)
-          in
-          let ddg'' = Ddg.Graph.of_loop ~latency:m.latency sloop in
-          let* cluster_of' =
-            match Partition.Driver.cluster_map a.Regalloc.Alloc.assignment sloop with
-            | Ok f -> Ok f
-            | Error msg -> stage_fail ~code:"PT001" Verify.Stage_error.Partitioning msg
-          in
-          let opsc, cpc = cluster_loads cluster_of' a.Regalloc.Alloc.code in
-          let mii' =
-            max
-              (Ddg.Minii.res_mii_clustered ~machine:m ~ops_per_cluster:opsc
-                 ~copies_per_cluster:cpc)
-              (Ddg.Minii.rec_mii ddg'')
-          in
-          let* clustered' =
-            match schedule_clustered ~budget ~cluster_of:cluster_of' ~mii:mii' ddg'' with
-            | Some o -> Ok o
-            | None ->
-                stage_fail Verify.Stage_error.Clustered_schedule
-                  (Printf.sprintf
-                     "no feasible II for the spill-rewritten body (MII %d, budget_ratio %d)"
-                     mii' budget)
-            | exception Invalid_argument msg ->
-                stage_fail Verify.Stage_error.Clustered_schedule msg
-          in
-          let kernel' = hooks.on_kernel clustered'.Sched.Modulo.kernel in
-          finish
-            {
-              loop; machine = m; rewritten = sloop;
-              assignment = a.Regalloc.Alloc.assignment;
-              code = Kernel { kernel = kernel'; ii = clustered'.Sched.Modulo.ii; ideal_ii };
-              alloc = Some a; rung = mk_rung ~respilled:true;
-              n_copies = ins.Partition.Copies.n_copies;
-              spill_count = a.Regalloc.Alloc.spill_count; attempts = []; diags = [];
-            }
-      | _ ->
-          finish
-            {
-              loop; machine = m; rewritten;
-              assignment =
-                (match alloc with
-                | Some a -> a.Regalloc.Alloc.assignment
-                | None -> assignment);
-              code = Kernel { kernel; ii = clustered.Sched.Modulo.ii; ideal_ii };
-              alloc; rung = mk_rung ~respilled:false;
-              n_copies = ins.Partition.Copies.n_copies;
-              spill_count =
-                (match alloc with Some a -> a.Regalloc.Alloc.spill_count | None -> 0);
-              attempts = []; diags = [];
-            }
+    settle ~rung
+    @@
+    let* () = guard Verify.Stage_error.Partitioning in
+    let* assignment0 =
+      match partitioner with
+      | None -> Ok (Partition.Assign.single_bank loop)
+      | Some (_, p) ->
+          step
+            (Partition.Driver.assign ?obs p ~machine:m ~ddg
+               ~ideal_kernel:ideal.Sched.Modulo.kernel loop)
     in
-    match result with
-    | Ok r -> Some r
-    | Error (stage, code, detail) ->
-        Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_failed 1;
-        log ?code ~rung stage detail;
-        None
+    let* ins = insert_copies assignment0 in
+    let* () =
+      match config.copy_saturation with
+      | Some ratio
+        when float_of_int ins.Partition.Copies.n_copies
+             > ratio *. float_of_int (Ir.Loop.size loop) ->
+          stage_fail ~code:"PT005" Verify.Stage_error.Copy_insertion
+            (Printf.sprintf "copy-saturated partition: %d copies for %d ops"
+               ins.Partition.Copies.n_copies (Ir.Loop.size loop))
+      | _ -> Ok ()
+    in
+    let assignment = hooks.on_assignment ins.Partition.Copies.assignment in
+    let rewritten = hooks.on_rewritten ins.Partition.Copies.loop in
+    (* The MinII loads are the copy inserter's, counted before any hook
+       tampered with the body or its assignment. *)
+    let* rb =
+      step
+        (Partition.Driver.rebuild
+           ~loads:(ins.Partition.Copies.ops_per_cluster, ins.Partition.Copies.copies_per_cluster)
+           ~machine:m ~assignment rewritten)
+    in
+    let* () = guard Verify.Stage_error.Clustered_schedule in
+    let* clustered = modulo_schedule ~budget rb in
+    let kernel = hooks.on_kernel clustered.Sched.Modulo.kernel in
+    (* Fail fast on a bad partition or schedule before paying for step 5. *)
+    let* _ =
+      check
+        (Verify.Pipeline.run
+           {
+             (Verify.Pipeline.stages ~machine:m loop) with
+             Verify.Pipeline.ideal = Some (ddg, ideal.Sched.Modulo.kernel);
+             partition = Some (assignment, rewritten);
+             clustered = Some (rb.ddg, kernel);
+           })
+    in
+    let* () = guard Verify.Stage_error.Allocation in
+    let* alloc = allocate_stage ~rung ~assignment rewritten in
+    let respilled = alloc.Regalloc.Alloc.spill_count > 0 in
+    let* rewritten, kernel, ii =
+      if not respilled then Ok (rewritten, kernel, clustered.Sched.Modulo.ii)
+      else
+        let* sloop, rb' = spilled alloc in
+        let* clustered' = modulo_schedule ~what:" for the spill-rewritten body" ~budget rb' in
+        Ok (sloop, hooks.on_kernel clustered'.Sched.Modulo.kernel, clustered'.Sched.Modulo.ii)
+    in
+    finish ~rung:(mk_rung ~respilled)
+      ~code:(Kernel { kernel; ii; ideal_ii = ideal.Sched.Modulo.ii })
+      ~n_copies:ins.Partition.Copies.n_copies ~rewritten alloc
   in
   (* The last rung: flat single-bank list schedule — immune to II budgets,
      recurrence circuits and inter-bank copies. *)
@@ -380,72 +306,27 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     let rung = rung_name Non_pipelined in
     Obs.Trace.span obs "ladder.rung" ~attrs:[ ("rung", rung) ] @@ fun () ->
     Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_entered 1;
-    let result =
-      let* () = guard Verify.Stage_error.Copy_insertion in
-      let assignment0 = single_bank_assignment loop in
-      let* ins =
-        match Partition.Copies.insert_loop ~machine:m ~assignment:assignment0 loop with
-        | ins -> Ok ins
-        | exception Invalid_argument msg -> stage_fail Verify.Stage_error.Copy_insertion msg
-      in
-      let assignment = hooks.on_assignment ins.Partition.Copies.assignment in
-      let rewritten = hooks.on_rewritten ins.Partition.Copies.loop in
-      let ddg' = Ddg.Graph.of_loop ~latency:m.latency rewritten in
-      let* cluster_of =
-        match Partition.Driver.cluster_map assignment rewritten with
-        | Ok f -> Ok f
-        | Error msg -> stage_fail ~code:"PT001" Verify.Stage_error.Partitioning msg
-      in
-      let* sched =
-        match Sched.List_sched.schedule ~cluster_of ~machine:m ddg' with
-        | s -> Ok s
-        | exception Invalid_argument msg ->
-            stage_fail Verify.Stage_error.Clustered_schedule msg
-      in
-      let* () = guard Verify.Stage_error.Allocation in
-      let* alloc = allocate_stage ~rung ~assignment rewritten in
-      let assignment =
-        match alloc with Some a -> a.Regalloc.Alloc.assignment | None -> assignment
-      in
-      (* Spilled flat code keeps its schedule for the unspilled ops only;
-         re-list-schedule the spilled body so code and schedule agree. *)
-      let* rewritten, sched =
-        match alloc with
-        | Some a when a.Regalloc.Alloc.spill_count > 0 -> (
-            match
-              Ir.Loop.make ~depth:(Ir.Loop.depth loop) ~live_out:a.Regalloc.Alloc.live_out
-                ~trip_count:(Ir.Loop.trip_count loop) ~name:(Ir.Loop.name loop)
-                a.Regalloc.Alloc.code
-            with
-            | exception Invalid_argument msg ->
-                stage_fail Verify.Stage_error.Allocation
-                  ("spill-rewritten body is malformed: " ^ msg)
-            | sloop -> (
-                let ddg'' = Ddg.Graph.of_loop ~latency:m.latency sloop in
-                match Partition.Driver.cluster_map assignment sloop with
-                | Error msg -> stage_fail ~code:"PT001" Verify.Stage_error.Partitioning msg
-                | Ok cluster_of' -> (
-                    match Sched.List_sched.schedule ~cluster_of:cluster_of' ~machine:m ddg'' with
-                    | s -> Ok (sloop, s)
-                    | exception Invalid_argument msg ->
-                        stage_fail Verify.Stage_error.Clustered_schedule msg)))
-        | _ -> Ok (rewritten, sched)
-      in
-      finish
-        {
-          loop; machine = m; rewritten; assignment;
-          code = Flat sched; alloc; rung = Non_pipelined;
-          n_copies = ins.Partition.Copies.n_copies;
-          spill_count = (match alloc with Some a -> a.Regalloc.Alloc.spill_count | None -> 0);
-          attempts = []; diags = [];
-        }
+    settle ~rung
+    @@
+    let* () = guard Verify.Stage_error.Copy_insertion in
+    let* ins = insert_copies (Partition.Assign.single_bank loop) in
+    let assignment = hooks.on_assignment ins.Partition.Copies.assignment in
+    let rewritten = hooks.on_rewritten ins.Partition.Copies.loop in
+    let* rb = step (Partition.Driver.rebuild ~machine:m ~assignment rewritten) in
+    let* sched = list_schedule rb in
+    let* () = guard Verify.Stage_error.Allocation in
+    let* alloc = allocate_stage ~rung ~assignment rewritten in
+    (* Spilled flat code keeps its schedule for the unspilled ops only;
+       re-list-schedule the spilled body so code and schedule agree. *)
+    let* rewritten, sched =
+      if alloc.Regalloc.Alloc.spill_count = 0 then Ok (rewritten, sched)
+      else
+        let* sloop, rb' = spilled alloc in
+        let* sched' = list_schedule rb' in
+        Ok (sloop, sched')
     in
-    match result with
-    | Ok r -> Some r
-    | Error (stage, code, detail) ->
-        Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_failed 1;
-        log ?code ~rung stage detail;
-        None
+    finish ~rung:Non_pipelined ~code:(Flat sched) ~n_copies:ins.Partition.Copies.n_copies
+      ~rewritten alloc
   in
   (* --- ladder execution ------------------------------------------- *)
   let ir_diags = Verify.Ir_check.loop loop in
@@ -459,12 +340,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
       let rec go = function
         | [] -> None
         | b :: rest -> (
-            let outcome =
-              match config.scheduler with
-              | Partition.Driver.Rau -> Sched.Modulo.ideal ?obs ~budget_ratio:b ~machine:m ddg
-              | Partition.Driver.Swing -> Sched.Swing.ideal ?obs ~machine:m ddg
-            in
-            match outcome with
+            match Sched.Modulo.ideal ?obs ~budget_ratio:b ~machine:m ddg with
             | Some o -> Some o
             | None ->
                 log ~rung:"ideal" Verify.Stage_error.Ideal_schedule

@@ -19,7 +19,7 @@
       saturation threshold is rejected without scheduling;
     + {b single-bank merge} — every register in bank 0: no copies can
       be needed, at the price of using one cluster's issue width;
-    + {b spill-and-reschedule} (within any rung that allocates) — when
+    + {b spill-and-reschedule} (within every rung) — when
       per-bank colouring spills, the clustered kernel is re-derived
       over the spill-rewritten body so the emitted schedule matches the
       emitted code;
@@ -56,7 +56,7 @@ type result = {
   rewritten : Ir.Loop.t;             (** emitted body: copies, plus spill code if any *)
   assignment : Partition.Assign.t;   (** final banks incl. copy/spill registers *)
   code : code;
-  alloc : Regalloc.Alloc.t option;   (** present when [config.allocate] *)
+  alloc : Regalloc.Alloc.t;          (** per-bank colouring of [rewritten] *)
   rung : rung;                       (** the ladder rung that produced the code *)
   n_copies : int;
   spill_count : int;
@@ -92,22 +92,14 @@ type config = {
       (** reject a partition needing more than [ratio × body size] copies *)
   spill_rounds : int list;
       (** escalating [max_rounds] schedule for the per-bank allocator *)
-  reschedule_after_spill : bool;
-      (** re-derive the kernel over spill-rewritten code (default true) *)
   allow_non_pipelined : bool;  (** enable the final surrender rung *)
-  allocate : bool;             (** run per-bank colouring (step 5) *)
-  scheduler : Partition.Driver.scheduler;
 }
+(** Every rung schedules with Rau's scheduler, colours per bank and,
+    when colouring spills, reschedules the spilled body. *)
 
 val default_config : config
 (** Greedy → UAS → BUG, budgets [[10; 40]], no saturation threshold,
-    spill rounds [[8; 32]], reschedule-after-spill, surrender enabled,
-    allocation on, Rau scheduling. *)
-
-val deadline_code : string
-(** ["PIPE008"] — the diagnostic code of every cancellation-induced
-    failure, the discriminator callers use to tell "the deadline fired"
-    from "the ladder genuinely could not compile this loop". *)
+    spill rounds [[8; 32]], surrender enabled. *)
 
 val run :
   ?obs:Obs.Trace.t ->
@@ -129,7 +121,8 @@ val run :
     default). It is consulted at every stage boundary inside a rung and
     between rungs; once it returns [true] the driver abandons the run
     at the next boundary — no artifact escapes, nothing is left half
-    built — and returns an [Error] whose code is {!deadline_code} and
+    built — and returns an [Error] whose code is
+    {!Partition.Driver.deadline_code} and
     whose attempt trace covers {e every} rung tried before the
     deadline, including the one the cancellation interrupted. An [Ok]
     whose verification completed just before the token fired is still

@@ -55,7 +55,7 @@ type service_fault =
     reply, [Slow_loris] → either the completed frame's reply or a read
     timeout, [Disconnect] → a dropped reply counted on
     [serve.disconnects], [Deadline_storm] → a [timeout] reply carrying
-    {!Driver.deadline_code}, [Crash_worker] → a restarted worker domain
+    {!Partition.Driver.deadline_code}, [Crash_worker] → a restarted worker domain
     and (after retries) a quarantine reply. The behaviors live in the
     bombardment harness; this catalog exists so serve, bombard and the
     CLI share one spelling of each fault. *)

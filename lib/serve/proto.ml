@@ -168,7 +168,7 @@ let request_to_string r = Obs.Json.to_string (request_to_json r)
 let status_of_result (r : result_reply) =
   match r.outcome with
   | Ok _ -> "ok"
-  | Error e when e.Verify.Stage_error.code = Robust.Driver.deadline_code -> "timeout"
+  | Error e when e.Verify.Stage_error.code = Partition.Driver.deadline_code -> "timeout"
   | Error _ -> "error"
 
 let status_of_reply = function
@@ -321,7 +321,7 @@ let failure ?attempts ~code ~stage ~id detail =
   Verify.Stage_error.make ?attempts ~code ~stage ~subject:id detail
 
 let queue_timeout_error ~id =
-  failure ~code:Robust.Driver.deadline_code ~stage:Verify.Stage_error.Ideal_schedule ~id
+  failure ~code:Partition.Driver.deadline_code ~stage:Verify.Stage_error.Ideal_schedule ~id
     "deadline exceeded while queued; compilation never started"
 
 let quarantine_error ~id ~crashes =

@@ -101,7 +101,7 @@ type reply =
 
 val status_of_reply : reply -> string
 (** The ["status"] value the encoding carries; [Result] replies are
-    ["ok"], ["timeout"] (code {!Robust.Driver.deadline_code}) or
+    ["ok"], ["timeout"] (code {!Partition.Driver.deadline_code}) or
     ["error"]. *)
 
 val model_name : Mach.Machine.copy_model -> string

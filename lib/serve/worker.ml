@@ -50,18 +50,13 @@ let metrics_of_result (r : Robust.Driver.result) : Core.Metrics.loop_metrics =
   let n_copies = r.Robust.Driver.n_copies in
   match r.Robust.Driver.code with
   | Robust.Driver.Kernel { kernel; ii; ideal_ii } ->
-      let count op =
-        match r.Robust.Driver.machine.Mach.Machine.copy_model with
-        | Mach.Machine.Embedded -> true
-        | Mach.Machine.Copy_unit -> not (Ir.Op.is_copy op)
-      in
       {
         Core.Metrics.name;
         ideal_ii;
         clustered_ii = ii;
         degradation = 100.0 *. fi ii /. fi ideal_ii;
         ipc_ideal = fi n_ops /. fi ideal_ii;
-        ipc_clustered = Sched.Kernel.ipc ~count kernel;
+        ipc_clustered = Partition.Driver.clustered_ipc ~machine:r.Robust.Driver.machine kernel;
         n_copies;
         n_ops;
       }

@@ -11,7 +11,7 @@
     - {e per-deadline}: the job's {!Engine.Cancel} token is polled
       before work starts (expired-in-queue requests are answered
       without compiling) and threaded into the ladder, which abandons
-      the run at the next stage boundary with {!Robust.Driver.deadline_code};
+      the run at the next stage boundary with {!Partition.Driver.deadline_code};
     - {e per-domain}: a worker domain that dies outright (the simulated
       {!Crash}) is detected by the supervisor thread, which joins the
       corpse, restarts the slot ([serve.worker_restarts]), and either

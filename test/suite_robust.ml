@@ -40,7 +40,6 @@ let ladder_tests =
             check Alcotest.bool "no respill" false respilled
         | rung -> Alcotest.failf "wrong rung: %s" (Robust.Driver.rung_name rung));
         check Alcotest.int "no failed attempts" 0 (List.length r.Robust.Driver.attempts);
-        check Alcotest.bool "alloc present" true (r.Robust.Driver.alloc <> None);
         check Alcotest.bool "verifies" true (no_error_diags r));
     case "budget-escalation-recovers" (fun () ->
         (* budget_ratio 0 gives the scheduler no placement budget, so the
@@ -162,6 +161,49 @@ let ladder_tests =
           (List.length e.Verify.Stage_error.attempts));
   ]
 
+(* The ladder's first rung and Partition.Driver.pipeline run the same
+   steps (assign, copy insertion, rebuild, Rau at budget 10): where the
+   ladder settles on that rung without spilling, its kernel II, copy
+   count and rewritten body must be the pipeline's. Every twentieth loop of
+   the seed-1995 suite (kernels and generated loops) across the six
+   paper configurations; the whole suite agrees too, but takes a
+   minute. *)
+let pipeline_equivalence_tests =
+  [
+    case "first-rung-matches-pipeline" (fun () ->
+        let first_rung =
+          Robust.Driver.Pipelined { partitioner = "greedy"; budget_ratio = 10; respilled = false }
+        in
+        let compared = ref 0 in
+        List.iter
+          (fun (c : Core.Experiment.config) ->
+            let machine = c.Core.Experiment.machine in
+            List.iter
+              (fun loop ->
+                match Robust.Driver.run ~machine loop with
+                | Ok r
+                  when r.Robust.Driver.rung = first_rung && r.Robust.Driver.spill_count = 0 -> (
+                    incr compared;
+                    let label = Ir.Loop.name loop ^ " on " ^ machine.Mach.Machine.name in
+                    match (Partition.Driver.pipeline ~machine loop, r.Robust.Driver.code) with
+                    | Ok p, Robust.Driver.Kernel { ii; _ } ->
+                        check Alcotest.int (label ^ ": II")
+                          p.Partition.Driver.clustered.Sched.Modulo.ii ii;
+                        check Alcotest.int (label ^ ": copies") p.Partition.Driver.n_copies
+                          r.Robust.Driver.n_copies;
+                        check
+                          (Alcotest.list Alcotest.string)
+                          (label ^ ": rewritten body")
+                          (List.map Ir.Op.to_string (Ir.Loop.ops p.Partition.Driver.rewritten))
+                          (List.map Ir.Op.to_string (Ir.Loop.ops r.Robust.Driver.rewritten))
+                    | Error e, _ -> Alcotest.failf "%s: %s" label (Verify.Stage_error.to_string e)
+                    | Ok _, Robust.Driver.Flat _ -> Alcotest.failf "%s: flat code" label)
+                | _ -> ())
+              (List.filteri (fun i _ -> i mod 20 = 0) (Workload.Suite.loops ~seed:1995 ())))
+          Core.Experiment.paper_configs;
+        check Alcotest.bool "some pairs compared" true (!compared > 0));
+  ]
+
 (* Deadline pressure: the ?cancel poll must turn into a structured
    PIPE008 error at the next stage boundary — never a hang, never a
    partial artifact — and the attempt trace must keep every rung tried
@@ -174,7 +216,7 @@ let deadline_tests =
             (Robust.Driver.run ~cancel:(fun () -> true) ~machine:m4x4e
                (Workload.Kernels.daxpy ~unroll:2))
         in
-        check Alcotest.string "PIPE008" Robust.Driver.deadline_code
+        check Alcotest.string "PIPE008" Partition.Driver.deadline_code
           e.Verify.Stage_error.code;
         check Alcotest.int "no rung ever started" 0
           (List.length e.Verify.Stage_error.attempts);
@@ -203,7 +245,7 @@ let deadline_tests =
                ~cancel:(fun () -> !rungs_failed >= 2)
                ~machine:m4x4e (Workload.Kernels.dot ~unroll:2))
         in
-        check Alcotest.string "PIPE008" Robust.Driver.deadline_code
+        check Alcotest.string "PIPE008" Partition.Driver.deadline_code
           e.Verify.Stage_error.code;
         let rungs =
           List.map (fun (a : Verify.Stage_error.attempt) -> a.Verify.Stage_error.rung)
@@ -249,7 +291,7 @@ let deadline_tests =
             (Robust.Driver.run ~cancel ~machine:m4x4e
                (Workload.Kernels.daxpy ~unroll:2))
         in
-        check Alcotest.string "PIPE008" Robust.Driver.deadline_code
+        check Alcotest.string "PIPE008" Partition.Driver.deadline_code
           e.Verify.Stage_error.code;
         check Alcotest.bool "token latched" true (Engine.Cancel.cancelled token);
         (match Engine.Cancel.remaining token with
@@ -416,6 +458,7 @@ let stress_tests =
 let suite =
   [
     ("robust.ladder", ladder_tests);
+    ("robust.equivalence", pipeline_equivalence_tests);
     ("robust.deadline", deadline_tests);
     ("robust.inject", inject_tests);
     ("robust.stress", stress_tests);

@@ -125,7 +125,7 @@ let proto_tests =
           (Proto.status_of_reply (Proto.Metrics_reply Obs.Json.Null)));
     case "structured-failures-carry-their-codes" (fun () ->
         check Alcotest.string "queue timeout is the ladder deadline code"
-          Robust.Driver.deadline_code (Proto.queue_timeout_error ~id:"a").Verify.Stage_error.code;
+          Partition.Driver.deadline_code (Proto.queue_timeout_error ~id:"a").Verify.Stage_error.code;
         check Alcotest.string "quarantine" Proto.code_quarantined
           (Proto.quarantine_error ~id:"a" ~crashes:1).Verify.Stage_error.code;
         check Alcotest.string "shutdown" Proto.code_shutting_down
@@ -700,7 +700,7 @@ let daemon_tests =
           in
           (match rt.Proto.outcome with
           | Error e ->
-              check Alcotest.string "deadline code" Robust.Driver.deadline_code
+              check Alcotest.string "deadline code" Partition.Driver.deadline_code
                 e.Verify.Stage_error.code
           | Ok _ -> Alcotest.fail "a 0.01 ms deadline cannot be met");
           check Alcotest.string "status is timeout" "timeout"
