@@ -46,13 +46,13 @@ bench:
 	dune exec bench/main.exe -- -j $(J)
 
 # Machine-readable bench telemetry only: writes BENCH_pipeline.json
-# (suite means, failure counts, per-stage wall times) without the
-# human-readable tables.
+# (suite means, failure counts, engine jobs / cache hits / wall time)
+# without the human-readable tables.
 bench-json:
 	dune exec bench/main.exe -- json -j $(J)
 
-# Refresh the checked-in perf-gate baseline (deterministic: no stage
-# wall times, so an unchanged pipeline regenerates it byte-identically).
+# Refresh the checked-in perf-gate baseline (deterministic: no engine
+# telemetry, so an unchanged pipeline regenerates it byte-identically).
 # Shows what would change before overwriting.
 bench-baseline:
 	dune exec bin/rbp.exe -- report -n 32 -f json --deterministic -o BENCH_baseline_new.json

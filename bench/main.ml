@@ -36,29 +36,22 @@ let effective_jobs () = if !jobs <= 0 then Engine.Pool.default_jobs () else !job
 type sweep = {
   sweep_runs : Core.Experiment.run list;
   sweep_ipc : float;
-  sweep_obs : Obs.Trace.t;
   sweep_hits : int;
   sweep_wall : float;
 }
 
 let runs_cache : (int, sweep) Hashtbl.t = Hashtbl.create 4
 
-(* Every suite sweep runs instrumented (real clock): the per-stage wall
-   times ride along for free and feed the JSON telemetry below. *)
-let runs_for_obs ?(n = Workload.Suite.size) () =
+let sweep_for ?(n = Workload.Suite.size) () =
   match Hashtbl.find_opt runs_cache n with
   | Some r -> r
   | None ->
-      let obs = Obs.Trace.make ~clock:Unix.gettimeofday () in
       let loops = Workload.Suite.loops ~seed:suite_seed ~n () in
       let cache =
         if !use_cache then Some (Engine.Cache.open_ ~dir:!cache_dir ()) else None
       in
       let t0 = Unix.gettimeofday () in
-      let runs =
-        Core.Experiment.run_all ~obs ~jobs:!jobs ?cache
-          ~job_clock:(fun _ -> Unix.gettimeofday) ~loops ()
-      in
+      let runs = Core.Experiment.run_all ~jobs:!jobs ?cache ~loops () in
       let wall = Unix.gettimeofday () -. t0 in
       let ipc = Core.Experiment.ideal_ipc ~loops () in
       let hits =
@@ -67,14 +60,13 @@ let runs_for_obs ?(n = Workload.Suite.size) () =
           0 runs
       in
       let sweep =
-        { sweep_runs = runs; sweep_ipc = ipc; sweep_obs = obs; sweep_hits = hits;
-          sweep_wall = wall }
+        { sweep_runs = runs; sweep_ipc = ipc; sweep_hits = hits; sweep_wall = wall }
       in
       Hashtbl.replace runs_cache n sweep;
       sweep
 
 let runs_for ?n () =
-  let s = runs_for_obs ?n () in
+  let s = sweep_for ?n () in
   (s.sweep_runs, s.sweep_ipc)
 
 let find_run runs ~clusters ~copy_model =
@@ -472,81 +464,23 @@ let distribute ?(n = 120) () =
     "(on a wide machine pieces over-pipeline and pressure grows; on a narrow one\n\
     \ distribution trades a little steady-state time for less pressure per piece)"
 
-(* Machine-readable telemetry: one JSON file per bench run with the
-   suite parameters, per-configuration aggregate metrics (the numbers
-   behind Tables 1-2), and per-stage wall times from the span totals of
-   the instrumented sweep. Consumers: CI trend tracking, plotting. *)
+(* Machine-readable telemetry: one rbp-bench/1 document per bench run —
+   the suite parameters and per-configuration aggregate metrics (the
+   numbers behind Tables 1-2, written by the same function as
+   `rbp report -f json`), plus the engine telemetry perfdiff notes but
+   never gates on. Per-layer timings live in perfbench. *)
 let bench_json ~path ?n () =
   let loop_count = match n with Some n -> n | None -> Workload.Suite.size in
-  let sweep = runs_for_obs ~n:loop_count () in
-  let runs = sweep.sweep_runs and ideal_ipc = sweep.sweep_ipc and obs = sweep.sweep_obs in
-  let num x = Obs.Json.Num x in
-  let int_num x = Obs.Json.Num (float_of_int x) in
-  let config_json (r : Core.Experiment.run) =
-    Obs.Json.Obj
-      [
-        ("label", Obs.Json.Str r.config.label);
-        ("clusters", int_num r.config.clusters);
-        ("copy_model", Obs.Json.Str (Mach.Machine.copy_model_name r.config.copy_model));
-        ("loops_ok", int_num (List.length r.metrics));
-        ("failures", int_num (List.length r.failures));
-        ("mean_ipc_clustered", num (Core.Metrics.mean_ipc_clustered r.metrics));
-        ("arith_mean_degradation", num (Core.Metrics.arithmetic_mean_degradation r.metrics));
-        ("harmonic_mean_degradation", num (Core.Metrics.harmonic_mean_degradation r.metrics));
-        ("pct_no_degradation", num (Core.Metrics.pct_no_degradation r.metrics));
-      ]
-  in
-  (* Per-stage duration quantiles: every span of the sweep lands in a
-     log-linear histogram keyed by stage name, so the telemetry shows
-     not just where the time went but how it was distributed — a stage
-     whose p99 dwarfs its p50 has outlier loops worth tracing. *)
-  let stage_hists : (string, Obs.Histogram.t) Hashtbl.t = Hashtbl.create 16 in
-  Obs.Trace.iter_spans
-    (fun ~depth:_ s ->
-      let h =
-        match Hashtbl.find_opt stage_hists s.Obs.Trace.name with
-        | Some h -> h
-        | None ->
-            let h = Obs.Histogram.make () in
-            Hashtbl.add stage_hists s.Obs.Trace.name h;
-            h
-      in
-      Obs.Histogram.record h (Obs.Trace.duration s *. 1000.0))
-    obs;
-  let stage_json (name, total, calls) =
-    let quantiles =
-      match Hashtbl.find_opt stage_hists name with
-      | Some h when not (Obs.Histogram.is_empty h) ->
-          [
-            ("p50_ms", num (Obs.Histogram.p50 h));
-            ("p99_ms", num (Obs.Histogram.p99 h));
-            ("max_ms", num (Obs.Histogram.max_value h));
-          ]
-      | _ -> []
-    in
-    Obs.Json.Obj
-      ([
-         ("name", Obs.Json.Str name);
-         ("total_s", num total);
-         ("calls", int_num calls);
-       ]
-      @ quantiles)
-  in
+  let sweep = sweep_for ~n:loop_count () in
   let doc =
-    Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "rbp-bench/1");
-        ("seed", int_num suite_seed);
-        ("loops", int_num loop_count);
-        ("ideal_ipc", num ideal_ipc);
-        ("configs", Obs.Json.List (List.map config_json runs));
-        ("stages", Obs.Json.List (List.map stage_json (Obs.Trace.totals_by_name obs)));
-        (* Additive engine telemetry: older rbp-bench/1 consumers ignore
-           unknown fields; perfdiff reports but never gates on them. *)
-        ("jobs", int_num (effective_jobs ()));
-        ("cache_hits", int_num sweep.sweep_hits);
-        ("wall_s", num sweep.sweep_wall);
-      ]
+    Core.Report.paper_tables_json
+      ~engine:
+        {
+          Core.Report.jobs = effective_jobs ();
+          cache_hits = sweep.sweep_hits;
+          wall_s = sweep.sweep_wall;
+        }
+      ~seed:suite_seed ~loops:loop_count ~ideal_ipc:sweep.sweep_ipc sweep.sweep_runs
   in
   let oc = open_out path in
   output_string oc (Obs.Json.to_string doc);

@@ -103,10 +103,8 @@ let real_clock : unit -> float = Unix.gettimeofday
 
 let clock_of ~deterministic = if deterministic then Obs.Clock.fake () else real_clock
 
-(* Per-shard clock for Engine-pooled sweeps: each domain gets its own
-   clock, so fake clocks never race across domains. *)
-let job_clock_of ~deterministic _shard = clock_of ~deterministic
-let real_job_clock = job_clock_of ~deterministic:false
+(* Per-shard clock for traced Engine-pooled sweeps. *)
+let real_job_clock _shard = real_clock
 
 (* ------------------------------------------------------------------ *)
 (* Engine arguments: one -j/--jobs and one cache triple shared by every
@@ -462,13 +460,9 @@ let gap_row_of_geometry (g : Exact.Gap.geometry) =
 let report_cmd =
   let run seed n format check out jobs cache_dir no_cache deterministic =
     let loops = Workload.Suite.loops ~seed ~n () in
-    let obs = Obs.Trace.make ~clock:(clock_of ~deterministic) () in
     let cache = cache_of ~no_cache ~cache_dir in
     let t0 = real_clock () in
-    let runs =
-      Core.Experiment.run_all ~obs ~jobs ?cache ~job_clock:(job_clock_of ~deterministic)
-        ~loops ()
-    in
+    let runs = Core.Experiment.run_all ~jobs ?cache ~loops () in
     let wall_s = real_clock () -. t0 in
     let cache_hits =
       List.fold_left (fun acc (r : Core.Experiment.run) -> acc + r.cache_hits) 0 runs
@@ -496,36 +490,15 @@ let report_cmd =
           Buffer.add_string b (Core.Report.failures_summary runs);
           Buffer.contents b
       | `Json ->
-          let doc = Core.Report.paper_tables_json ~seed ~loops:n ~ideal_ipc runs in
-          let doc =
-            (* Wall times and engine telemetry are the non-deterministic
-               parts; attach them only when the caller did not ask for
-               byte-stable output. *)
-            if deterministic then doc
-            else
-              match doc with
-              | Obs.Json.Obj fields ->
-                  Obs.Json.Obj
-                    (fields
-                    @ [
-                        ( "stages",
-                          Obs.Json.List
-                            (List.map
-                               (fun (name, total, calls) ->
-                                 Obs.Json.Obj
-                                   [
-                                     ("name", Obs.Json.Str name);
-                                     ("total_s", Obs.Json.Num total);
-                                     ("calls", Obs.Json.Num (float_of_int calls));
-                                   ])
-                               (Obs.Trace.totals_by_name obs)) );
-                        ("jobs", Obs.Json.Num (float_of_int (effective_jobs jobs)));
-                        ("cache_hits", Obs.Json.Num (float_of_int cache_hits));
-                        ("wall_s", Obs.Json.Num wall_s);
-                      ])
-              | other -> other
+          (* The engine telemetry is the non-deterministic part; attach
+             it only when the caller did not ask for byte-stable output. *)
+          let engine =
+            if deterministic then None
+            else Some { Core.Report.jobs = effective_jobs jobs; cache_hits; wall_s }
           in
-          Obs.Json.to_string doc ^ "\n"
+          Obs.Json.to_string
+            (Core.Report.paper_tables_json ?engine ~seed ~loops:n ~ideal_ipc runs)
+          ^ "\n"
     in
     (match out with
     | None -> print_string text

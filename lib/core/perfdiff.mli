@@ -3,9 +3,10 @@
     engine behind [rbp perfdiff] and the CI perf gate.
 
     Only the deterministic metrics are compared (per-config loop counts,
-    failures, IPC, degradation means); the ["stages"] wall times vary by
-    host and are deliberately ignored, so a checked-in baseline gates CI
-    byte-reproducibly.
+    failures, IPC, degradation means); host-dependent fields (wall
+    times, and any field this module does not know, such as the
+    per-stage timings older documents carried) are ignored, so a
+    checked-in baseline gates CI byte-reproducibly.
 
     Exit-code contract (enforced by the CLI, encoded here as types):
     0 — no regression; 1 — at least one regression; 2 — a document

@@ -208,7 +208,9 @@ let paper_tables_md ?gap ~ideal_ipc runs =
       | None | Some [] -> []
       | Some rows -> [ table3_heading; ""; table3_md rows; "" ])
 
-let paper_tables_json ~seed ~loops ~ideal_ipc runs =
+type engine_telemetry = { jobs : int; cache_hits : int; wall_s : float }
+
+let paper_tables_json ?engine ~seed ~loops ~ideal_ipc runs =
   let num x = Obs.Json.Num x in
   let int_num x = Obs.Json.Num (float_of_int x) in
   let config_json (r : Experiment.run) =
@@ -226,13 +228,21 @@ let paper_tables_json ~seed ~loops ~ideal_ipc runs =
       ]
   in
   Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "rbp-bench/1");
-      ("seed", int_num seed);
-      ("loops", int_num loops);
-      ("ideal_ipc", num ideal_ipc);
-      ("configs", Obs.Json.List (List.map config_json runs));
-    ]
+    ([
+       ("schema", Obs.Json.Str "rbp-bench/1");
+       ("seed", int_num seed);
+       ("loops", int_num loops);
+       ("ideal_ipc", num ideal_ipc);
+       ("configs", Obs.Json.List (List.map config_json runs));
+     ]
+    @
+    match engine with
+    | None -> []
+    | Some e ->
+        [
+          ("jobs", int_num e.jobs); ("cache_hits", int_num e.cache_hits);
+          ("wall_s", num e.wall_s);
+        ])
 
 let contains_block ~block text =
   (* Naive substring search is fine: blocks are a few hundred bytes and

@@ -51,11 +51,25 @@ val paper_tables_md : ?gap:gap_row list -> ideal_ipc:float -> Experiment.run lis
 (** Both tables with their EXPERIMENTS.md [##] headings — what
     [rbp report -f md] prints. [gap] (when non-empty) appends Table 3. *)
 
+type engine_telemetry = {
+  jobs : int;  (** engine [-j] level the sweep ran at *)
+  cache_hits : int;  (** result-cache hits across the sweep *)
+  wall_s : float;  (** whole-sweep wall time; host-dependent *)
+}
+
 val paper_tables_json :
-  seed:int -> loops:int -> ideal_ipc:float -> Experiment.run list -> Obs.Json.t
-(** The same aggregates in the [rbp-bench/1] telemetry schema (without
-    the host-dependent ["stages"] timings), so a report can be fed
-    straight to {!Perfdiff}. *)
+  ?engine:engine_telemetry ->
+  seed:int ->
+  loops:int ->
+  ideal_ipc:float ->
+  Experiment.run list ->
+  Obs.Json.t
+(** The same aggregates in the [rbp-bench/1] telemetry schema, so a
+    report can be fed straight to {!Perfdiff} — the one writer of that
+    schema for both [rbp report -f json] and [bench/main.exe]. [engine]
+    appends [jobs], [cache_hits] and [wall_s] (read by
+    {!Perfdiff.engine_note}, never gated); without it the document is
+    deterministic. *)
 
 val check_tables_in :
   ?gap:gap_row list ->

@@ -1,4 +1,5 @@
-let version_salt = "rbp-engine/2"
+let source_digest = Source_digest.digest
+let version_salt = "rbp-engine/2+" ^ source_digest
 
 let encode parts =
   let b = Buffer.create 256 in

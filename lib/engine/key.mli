@@ -12,11 +12,20 @@
     options. Anything that changes the pipeline's answer must appear in
     some part — or in the salt. *)
 
+val source_digest : string
+(** Hex MD5 of every [.ml] / [.mli] file under [lib/], computed when the
+    library is built (a dune rule over the source tree), so it costs
+    nothing at run time and a clean and an incremental build of the same
+    tree agree. *)
+
 val version_salt : string
-(** Folded into every key. Bump this string whenever the pipeline's
-    observable results change (scheduler tweaks, new copy heuristics,
-    metric definition changes): every existing cache entry then misses,
-    which is the correct, conservative invalidation. *)
+(** Folded into every key: ["rbp-engine/2+"] then {!source_digest}.
+    Any edit to the library sources therefore changes every key, and
+    results computed by other code (an older checkout, a pipeline
+    change under test) always miss — the correct, conservative
+    invalidation, with nothing to remember to bump. The ["rbp-engine/2"]
+    prefix names the entry format; bump it only when the cache entry
+    envelope itself changes. *)
 
 val encode : (string * string) list -> string
 (** The injective pre-digest encoding (exposed for the collision

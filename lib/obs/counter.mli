@@ -4,18 +4,24 @@
 
     Counters accumulate across a whole {!Trace.t}; an optional string
     label adds one dimension (the bank pair for copies, the rung name
-    for ladder transitions, the bank for allocator gauges). *)
+    for ladder transitions, the bank for allocator gauges).
+
+    Cells marked {e tally} count a decision event: {!Trace.emit} feeds
+    them from the event, never a direct bump, so they cannot disagree
+    with the stream. The [serve.*] result and admission cells are fed
+    only by [Serve.Stats]'s recording calls ([note_result],
+    [note_admitted], [note_shed]). *)
 
 type t =
   | Sched_placements  (** modulo-scheduler placement steps (budget spent) *)
-  | Sched_evictions  (** ops unscheduled to make room (Rau force-placement) *)
-  | Sched_ii_escalations  (** candidate IIs abandoned, all causes *)
-  | Sched_budget_exhausted  (** candidate IIs abandoned on budget exhaustion *)
-  | Greedy_decisions  (** unpinned RCG nodes placed by benefit *)
-  | Greedy_tie_breaks  (** placements where >= 2 banks tied for best benefit *)
-  | Greedy_pinned  (** RCG nodes placed by pin, not benefit *)
-  | Copies_inserted  (** label ["SRC->DST"]: copies per source/dest bank pair *)
-  | Spilled_registers  (** registers the per-bank allocator spilled *)
+  | Sched_evictions  (** tally of [sched.evict]: ops unscheduled to make room *)
+  | Sched_ii_escalations  (** tally of [sched.escalate]: candidate IIs abandoned *)
+  | Sched_budget_exhausted  (** tally of [sched.escalate] with cause ["budget"] *)
+  | Greedy_decisions  (** tally of unpinned [greedy.place]: placed by benefit *)
+  | Greedy_tie_breaks  (** tally of [greedy.place] where >= 2 banks tied *)
+  | Greedy_pinned  (** tally of pinned [greedy.place] *)
+  | Copies_inserted  (** tally of [copies.route], label ["SRC->DST"] bank pair *)
+  | Spilled_registers  (** tally of [alloc.spill]: registers spilled *)
   | Alloc_rounds  (** colouring rounds run by the allocator *)
   | Ladder_rung_entered  (** label = rung name: resilience-ladder rungs tried *)
   | Ladder_rung_failed  (** label = rung name: rungs that failed *)
@@ -41,8 +47,8 @@ val name : t -> string
 val all : t list
 
 type gauge =
-  | Alloc_conflict_nodes  (** label ["bankB"]: interference-graph nodes *)
-  | Alloc_conflict_edges  (** label ["bankB"]: interference-graph edges *)
+  | Alloc_conflict_nodes  (** tally of [alloc.pressure], label ["bankB"]: nodes *)
+  | Alloc_conflict_edges  (** tally of [alloc.pressure], label ["bankB"]: edges *)
   | Clustered_mii  (** the MII the clustered reschedule started from *)
 
 val gauge_name : gauge -> string

@@ -9,7 +9,8 @@
 
     Events are evidence, not state: nothing in the pipeline ever reads
     them back, so a stage may emit as many or as few as its narrative
-    needs without affecting what it computes. *)
+    needs without affecting what it computes. A counter that summarises
+    an event is a tally of it ({!Trace.emit}; see {!Counter}). *)
 
 type term = Attract | Repel
 (** The two RCG edge-weight terms of Section 5: def/use pairs within
@@ -58,9 +59,10 @@ type t =
       ii : int;  (** the candidate II that was abandoned *)
       cause : string;
           (** ["rec_mii"] (height fixpoint diverged), ["self_edge"],
-              ["resource"] (a request no table row satisfies), or
-              ["budget"] (placement budget exhausted) *)
-    }  (** The modulo scheduler giving up on one candidate II. *)
+              ["resource"] (a request no table row satisfies; for Swing
+              also no free slot in a node's window), or ["budget"] (Rau's
+              placement budget exhausted) *)
+    }  (** A modulo scheduler (Rau or Swing) giving up on one candidate II. *)
   | Sched_evict of {
       op : int;  (** evicted op id *)
       by : int;  (** op id whose placement forced the eviction *)

@@ -57,35 +57,59 @@ let add_attr obs k v =
       | [] -> ()
       | s :: _ -> s.attrs <- s.attrs @ [ (k, v) ])
 
-let incr obs ?label c n =
-  match obs with
-  | None -> ()
-  | Some t -> (
-      let key = (c, label) in
-      match Hashtbl.find_opt t.counters key with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace t.counters key (ref n))
+let add_counter t ?label c n =
+  let key = (c, label) in
+  match Hashtbl.find_opt t.counters key with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.replace t.counters key (ref n)
+
+let observe_gauge t ?label g v =
+  let key = (g, label) in
+  match Hashtbl.find_opt t.gauges key with
+  | Some r -> r := (v, max v (snd !r))
+  | None -> Hashtbl.replace t.gauges key (ref (v, v))
+
+let incr obs ?label c n = match obs with None -> () | Some t -> add_counter t ?label c n
+
+let set_gauge obs ?label g v =
+  match obs with None -> () | Some t -> observe_gauge t ?label g v
+
+(* The event -> cell map: every counter or gauge that summarises a
+   decision event is fed here, from the event itself, and nowhere else —
+   so a derived cell exists exactly when one of its events was emitted
+   and can never disagree with the stream it tallies. *)
+let tally t (e : Events.t) =
+  let bump ?label c = add_counter t ?label c 1 in
+  match e with
+  | Greedy_place { pinned = true; _ } -> bump Counter.Greedy_pinned
+  | Greedy_place { ties; _ } ->
+      bump Counter.Greedy_decisions;
+      if ties <> [] then bump Counter.Greedy_tie_breaks
+  | Sched_evict _ -> bump Counter.Sched_evictions
+  | Ii_escalate { cause; _ } ->
+      bump Counter.Sched_ii_escalations;
+      if cause = "budget" then bump Counter.Sched_budget_exhausted
+  | Copy_route { src_bank; dst_bank; _ } ->
+      bump ~label:(Printf.sprintf "%d->%d" src_bank dst_bank) Counter.Copies_inserted
+  | Spill _ -> bump Counter.Spilled_registers
+  | Alloc_pressure { bank; conflict_nodes; conflict_edges; _ } ->
+      let label = Printf.sprintf "bank%d" bank in
+      observe_gauge t ~label Counter.Alloc_conflict_nodes conflict_nodes;
+      observe_gauge t ~label Counter.Alloc_conflict_edges conflict_edges
+  | Rcg_factor _ | Rcg_edge _ | Greedy_penalty _ -> ()
 
 let emit obs e =
   match obs with
   | None -> ()
   | Some t ->
       t.events <- e :: t.events;
-      t.event_count <- t.event_count + 1
+      t.event_count <- t.event_count + 1;
+      tally t e
 
 let events t = List.rev t.events
 let event_count t = t.event_count
 
 let iter_events f t = List.iter f (events t)
-
-let set_gauge obs ?label g v =
-  match obs with
-  | None -> ()
-  | Some t -> (
-      let key = (g, label) in
-      match Hashtbl.find_opt t.gauges key with
-      | Some r -> r := (v, max v (snd !r))
-      | None -> Hashtbl.replace t.gauges key (ref (v, v)))
 
 let merge ~into child =
   (* Fold a quiescent per-job context into the submitting context, in
@@ -98,12 +122,7 @@ let merge ~into child =
   (match into.stack with
   | s :: _ -> List.iter (fun r -> s.children <- r :: s.children) completed
   | [] -> List.iter (fun r -> into.root_spans <- r :: into.root_spans) completed);
-  Hashtbl.iter
-    (fun key r ->
-      match Hashtbl.find_opt into.counters key with
-      | Some r' -> r' := !r' + !r
-      | None -> Hashtbl.replace into.counters key (ref !r))
-    child.counters;
+  Hashtbl.iter (fun (c, label) r -> add_counter into ?label c !r) child.counters;
   Hashtbl.iter
     (fun key r ->
       let last, mx = !r in
@@ -146,15 +165,3 @@ let iter_spans f t =
     List.iter (go (depth + 1)) s.children
   in
   List.iter (go 0) (roots t)
-
-let totals_by_name t =
-  let tbl = Hashtbl.create 16 in
-  iter_spans
-    (fun ~depth:_ s ->
-      let total, count =
-        Option.value ~default:(0.0, 0) (Hashtbl.find_opt tbl s.name)
-      in
-      Hashtbl.replace tbl s.name (total +. duration s, count + 1))
-    t;
-  Hashtbl.fold (fun name (total, count) acc -> (name, total, count) :: acc) tbl []
-  |> List.sort compare

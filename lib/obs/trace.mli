@@ -36,12 +36,16 @@ val add_attr : t option -> string -> string -> unit
 
 val incr : t option -> ?label:string -> Counter.t -> int -> unit
 (** Add [n] to a counter cell; [label] selects a labelled dimension
-    (e.g. the ["0->1"] bank pair of a copy). *)
+    (e.g. the rung name of a ladder transition). Never used for a
+    {e tally} cell of {!Counter}: {!emit} feeds those. *)
 
 val emit : t option -> Events.t -> unit
-(** Append one decision-provenance event to the stream. With [None]
-    this is a single branch; sites that would otherwise allocate the
-    event payload for nothing should guard with [obs <> None]. *)
+(** Append one decision-provenance event to the stream and tally it
+    into the {!Counter} cells it feeds (one function maps each event to
+    its cells), so a derived cell exists exactly when one of its events
+    occurred. With [None] this is a single branch; sites that would
+    otherwise allocate the event payload for nothing should guard with
+    [obs <> None]. *)
 
 val events : t -> Events.t list
 (** Every emitted event, oldest first — the order decisions were
@@ -52,7 +56,8 @@ val event_count : t -> int
 val iter_events : (Events.t -> unit) -> t -> unit
 
 val set_gauge : t option -> ?label:string -> Counter.gauge -> int -> unit
-(** Record a gauge observation; the cell keeps the last and the max. *)
+(** Record a gauge observation; the cell keeps the last and the max.
+    Like {!incr}, never used for a {e tally} cell. *)
 
 val merge : into:t -> t -> unit
 (** [merge ~into child] folds a completed child context into [into]:
@@ -93,8 +98,3 @@ val counter_total : t -> Counter.t -> int
 
 val iter_spans : (depth:int -> span -> unit) -> t -> unit
 (** Pre-order walk over the whole forest with depth (roots at 0). *)
-
-val totals_by_name : t -> (string * float * int) list
-(** Aggregate wall-time and call count per span name over the whole
-    forest, sorted by name — what the bench telemetry reports as
-    per-stage wall times. *)

@@ -127,26 +127,6 @@ let rebuild ?(timer = { time = (fun _ f -> f ()) }) ?loads ~machine ~assignment 
           mii = Sched.Modulo.clustered_mii ~machine:m ~ops_per_cluster ~copies_per_cluster ddg;
         }
 
-(* Feed [copies.inserted{SRC->DST}] from the copy ops of a rewritten
-   body: a copy's source bank is its (sole) use's, its destination bank
-   its def's. Skipped entirely without a context. *)
-let count_copy_pairs obs ~assignment ops =
-  match obs with
-  | None -> ()
-  | Some _ ->
-      List.iter
-        (fun op ->
-          if Ir.Op.is_copy op then
-            match (Ir.Op.uses op, Ir.Op.defs op) with
-            | src :: _, dst :: _ -> (
-                match (Assign.bank_opt assignment src, Assign.bank_opt assignment dst) with
-                | Some b1, Some b2 ->
-                    Obs.Trace.incr obs ~label:(Printf.sprintf "%d->%d" b1 b2)
-                      Obs.Counter.Copies_inserted 1
-                | _ -> ())
-            | _ -> ())
-        ops
-
 type scheduler = Rau | Swing
 
 let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights.default)
@@ -225,8 +205,6 @@ let pipeline ?obs ?(cancel = fun () -> false) ?(partitioner = Greedy Rcg.Weights
         with
         | exception Invalid_argument msg -> fail Verify.Stage_error.Copy_insertion msg
         | ins -> (
-        count_copy_pairs obs ~assignment:ins.Copies.assignment
-          (Ir.Loop.ops ins.Copies.loop);
         let* rb =
           rebuild
             ~timer:{ time = (fun name f -> Obs.Trace.span obs name f) }

@@ -35,7 +35,6 @@ let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
             invalid_arg
               (Printf.sprintf "Greedy.partition: %s pinned to bank %d (of %d)"
                  (Ir.Vreg.to_string node) b banks);
-          Obs.Trace.incr obs Obs.Counter.Greedy_pinned 1;
           if traced then
             Obs.Trace.emit obs
               (Obs.Events.Greedy_place
@@ -63,8 +62,6 @@ let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
             end
             else if v = !best_benefit then incr ties
           done;
-          Obs.Trace.incr obs Obs.Counter.Greedy_decisions 1;
-          if !ties > 1 then Obs.Trace.incr obs Obs.Counter.Greedy_tie_breaks 1;
           if traced then begin
             let tied =
               if !ties > 1 then

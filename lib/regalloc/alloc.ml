@@ -83,13 +83,9 @@ let allocate ?obs ?(max_rounds = 8) ?(subject = "code") ~machine ~assignment ~li
               | None -> ()
               | Some _ ->
                   let regs = Interference.registers g in
-                  let label = Printf.sprintf "bank%d" b in
                   let edges =
                     List.fold_left (fun acc r -> acc + Interference.degree g r) 0 regs / 2
                   in
-                  Obs.Trace.set_gauge obs ~label Obs.Counter.Alloc_conflict_nodes
-                    (List.length regs);
-                  Obs.Trace.set_gauge obs ~label Obs.Counter.Alloc_conflict_edges edges;
                   Obs.Trace.emit obs
                     (Obs.Events.Alloc_pressure
                        {
@@ -103,7 +99,6 @@ let allocate ?obs ?(max_rounds = 8) ?(subject = "code") ~machine ~assignment ~li
         in
         let spilled = List.concat_map (fun (_, (r : Color.result)) -> r.spilled) results in
         Obs.Trace.incr obs Obs.Counter.Alloc_rounds 1;
-        Obs.Trace.incr obs Obs.Counter.Spilled_registers (List.length spilled);
         if obs <> None then
           List.iter
             (fun r ->

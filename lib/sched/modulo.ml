@@ -76,7 +76,6 @@ let try_ii ~obs ~cluster_of ~budget ~machine ~ii ddg effort =
         in
         let unschedule ~by ~cycle ~reason id =
           incr effort.evicted;
-          Obs.Trace.incr obs Obs.Counter.Sched_evictions 1;
           if obs <> None then
             Obs.Trace.emit obs (Obs.Events.Sched_evict { op = id; by; cycle; reason });
           Restab.release_op mrt ~op:id;
@@ -92,7 +91,6 @@ let try_ii ~obs ~cluster_of ~budget ~machine ~ii ddg effort =
           | Some id ->
               if !budget <= 0 then begin
                 incr effort.exhausted;
-                Obs.Trace.incr obs Obs.Counter.Sched_budget_exhausted 1;
                 failure := Some "budget";
                 running := false
               end
@@ -214,7 +212,6 @@ let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
               budget_exhausted = !(effort.exhausted);
             }
       | Error cause ->
-          Obs.Trace.incr obs Obs.Counter.Sched_ii_escalations 1;
           if obs <> None then
             Obs.Trace.emit obs (Obs.Events.Ii_escalate { ii; cause });
           attempt (ii + 1)

@@ -37,9 +37,10 @@ val schedule :
     for well-formed DDGs unless resources are unsatisfiable).
 
     [obs] (default off) traces one [modulo.schedule] span with a
-    [modulo.try_ii] child per candidate II and feeds the
-    [sched.placements] / [sched.evictions] / [sched.ii_escalations] /
-    [sched.budget_exhausted] counters. *)
+    [modulo.try_ii] child per candidate II, feeds the [sched.placements]
+    counter, and emits [sched.evict] / [sched.escalate] events (which
+    tally [sched.evictions], [sched.ii_escalations] and
+    [sched.budget_exhausted]). *)
 
 val schedule_at :
   ?obs:Obs.Trace.t ->

@@ -72,11 +72,15 @@ let ordering ddg h =
   done;
   List.rev !order
 
+(* One attempt at the given II: the op->cycle map, or the cause the II
+   was abandoned in Modulo's vocabulary — "rec_mii" (heights diverge),
+   "self_edge", or "resource" (a request no MRT row holds, or no free
+   slot in a node's window; Swing never evicts). *)
 let try_ii ~cluster_of ~machine ~ii ddg tried =
   match heights ddg ~ii with
-  | None -> None
+  | None -> Error "rec_mii"
   | Some h ->
-      if not (self_edges_feasible ddg ~ii) then None
+      if not (self_edges_feasible ddg ~ii) then Error "self_edge"
       else begin
         let g = Ddg.Graph.graph ddg in
         let order = ordering ddg h in
@@ -135,7 +139,7 @@ let try_ii ~cluster_of ~machine ~ii ddg tried =
               end
             end)
           order;
-        if !ok then Some time else None
+        if !ok then Ok time else Error "resource"
       end
 
 let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
@@ -163,7 +167,7 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
       in
       Obs.Trace.incr obs Obs.Counter.Sched_placements (!tried - before);
       match result with
-      | Some time ->
+      | Ok time ->
           Obs.Trace.add_attr obs "ii" (string_of_int ii);
           let placements =
             Hashtbl.fold
@@ -176,8 +180,9 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
             { Modulo.kernel = Kernel.make ~ii placements; ii; mii;
               placements_tried = !tried; evictions = 0; iis_tried = !iis_tried;
               budget_exhausted = 0 }
-      | None ->
-          Obs.Trace.incr obs Obs.Counter.Sched_ii_escalations 1;
+      | Error cause ->
+          if obs <> None then
+            Obs.Trace.emit obs (Obs.Events.Ii_escalate { ii; cause });
           attempt (ii + 1)
     end
   in

@@ -34,8 +34,11 @@ val schedule :
 (** Same contract as {!Modulo.schedule}; [placements_tried] counts
     placement attempts across all IIs. Swing never evicts and has no
     placement budget, so [evictions] and [budget_exhausted] are 0.
-    [obs] traces [swing.schedule] / [swing.try_ii] spans and the
-    [sched.placements] / [sched.ii_escalations] counters. *)
+    [obs] traces [swing.schedule] / [swing.try_ii] spans, the
+    [sched.placements] counter, and one [sched.escalate] event per
+    abandoned II with {!Modulo}'s causes: ["rec_mii"], ["self_edge"], or
+    ["resource"] (a request no table row satisfies, or no free slot in
+    a node's window). *)
 
 val ideal :
   ?obs:Obs.Trace.t ->

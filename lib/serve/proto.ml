@@ -333,17 +333,16 @@ let shutdown_error ~id =
     "service is shutting down"
 
 let error_reply ?(cache = Bypass) ?(timing = zero_timing) ?trace_id ~id err =
-  Result
-    {
-      id;
-      trace_id;
-      outcome = Error err;
-      rung = None;
-      pipelined = false;
-      flat_cycles = None;
-      cache;
-      spills = 0;
-      attempts = List.map Verify.Stage_error.attempt_to_string err.Verify.Stage_error.attempts;
-      timing;
-      trace = None;
-    }
+  {
+    id;
+    trace_id;
+    outcome = Error err;
+    rung = None;
+    pipelined = false;
+    flat_cycles = None;
+    cache;
+    spills = 0;
+    attempts = List.map Verify.Stage_error.attempt_to_string err.Verify.Stage_error.attempts;
+    timing;
+    trace = None;
+  }

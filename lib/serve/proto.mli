@@ -133,6 +133,6 @@ val error_reply :
   ?trace_id:string ->
   id:string ->
   Verify.Stage_error.t ->
-  reply
-(** A [Result] reply wrapping a structured failure; the attempt trace is
+  result_reply
+(** The [Result] payload of a structured failure; the attempt trace is
     rendered from the error's own attempts. *)

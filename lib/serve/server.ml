@@ -74,28 +74,25 @@ let quarantine_key ~machine ~fault loop =
 (* ------------------------------------------------------------------ *)
 (* One connection                                                      *)
 
-let classify srv reply =
-  (* Every Result reply — ok, structured error, deadline timeout,
-     quarantine — carries timing, so the latency distributions cover
-     all admitted requests, not just successes. *)
-  (match reply with
-  | Proto.Result r ->
-      Stats.note_result srv.stats ~rung:r.Proto.rung
-        ~cache_hit:(r.Proto.cache = Proto.Hit)
-        ~queue_ms:r.Proto.timing.Proto.queue_ms
-        ~compile_ms:r.Proto.timing.Proto.compile_ms
-        ~total_ms:r.Proto.timing.Proto.total_ms
-  | _ -> ());
-  match Proto.status_of_reply reply with
-  | "ok" ->
-      Stats.bump srv.stats Obs.Counter.Serve_completed 1;
-      (match reply with
-      | Proto.Result { cache = Proto.Hit; _ } ->
-          Stats.bump srv.stats Obs.Counter.Serve_cache_hits 1
-      | _ -> ())
-  | "timeout" -> Stats.bump srv.stats Obs.Counter.Serve_timeouts 1
-  | "error" -> Stats.bump srv.stats Obs.Counter.Serve_failed 1
-  | _ -> ()
+(* The single recording point of an answered compile request. Every
+   [Result] — worker-built or a synchronous failure — passes through
+   here once, before it is written: stamp the trace id, fold the
+   request trace's counters into the stats table, build the capped span
+   tree (riding in the reply only when the client asked; the flight
+   recorder keeps it either way), record the flight entry, and note the
+   result. So a [stats] or [flight] query sent after a reply arrives
+   always sees that request. Returns the reply to write. *)
+let record_result srv ~trace_id ~want_trace trace (r : Proto.result_reply) =
+  let tree =
+    Option.map (Obs.Export.trace_json ~span_cap:(Flight.span_cap srv.flight)) trace
+  in
+  Option.iter (Stats.absorb srv.stats) trace;
+  let r =
+    { r with Proto.trace_id = Some trace_id; trace = (if want_trace then tree else None) }
+  in
+  Flight.record srv.flight (Flight.of_result ?trace:tree ~ts:(srv.cfg.clock ()) r);
+  Stats.note_result srv.stats r;
+  Proto.Result r
 
 (* One accepted connection. The fd must outlive the reader thread: a
    worker domain delivers compile replies asynchronously, and closing
@@ -172,51 +169,40 @@ let handle_compile srv ~conn ~send (c : Proto.compile) =
   Obs.Log.debug srv.cfg.logger ~trace_id
     ~fields:[ ("id", Obs.Json.Str c.Proto.id) ]
     "compile received";
-  let deliver reply =
-    classify srv reply;
-    (match reply with
-    | Proto.Result r ->
-        Obs.Log.debug srv.cfg.logger ~trace_id
-          ~fields:
-            [
-              ("id", Obs.Json.Str c.Proto.id);
-              ("status", Obs.Json.Str (Proto.status_of_reply reply));
-              ("total_ms", Obs.Json.Num r.Proto.timing.Proto.total_ms);
-            ]
-          "compile done"
-    | _ -> ());
+  let record = record_result srv ~trace_id ~want_trace:c.Proto.trace in
+  let deliver trace r =
+    let reply = record trace r in
+    Obs.Log.debug srv.cfg.logger ~trace_id
+      ~fields:
+        [
+          ("id", Obs.Json.Str c.Proto.id);
+          ("status", Obs.Json.Str (Proto.status_of_reply reply));
+          ("total_ms", Obs.Json.Num r.Proto.timing.Proto.total_ms);
+        ]
+      "compile done";
     conn_job_done srv conn reply
   in
-  let answer reply =
-    (* Synchronous reply from the connection thread itself: no pending
-       slot was taken. *)
-    classify srv reply;
-    send reply
-  in
   let structured_failure err =
+    (* Synchronous reply from the connection thread itself: no pending
+       slot was taken, and no worker ran. *)
     let reply =
-      Proto.error_reply
-        ~timing:
-          {
-            Proto.zero_timing with
-            Proto.total_ms = 1000.0 *. (srv.cfg.clock () -. received);
-          }
-        ~trace_id ~id:c.Proto.id err
+      record None
+        (Proto.error_reply
+           ~timing:
+             {
+               Proto.zero_timing with
+               Proto.total_ms = 1000.0 *. (srv.cfg.clock () -. received);
+             }
+           ~id:c.Proto.id err)
     in
-    (* Synchronous failures never reach a worker, so they are recorded
-       here — the flight recorder must cover every answered request. *)
-    (match reply with
-    | Proto.Result r ->
-        Flight.record srv.flight (Flight.of_result ~ts:(srv.cfg.clock ()) r);
-        Obs.Log.debug srv.cfg.logger ~trace_id
-          ~fields:
-            [
-              ("id", Obs.Json.Str c.Proto.id);
-              ("code", Obs.Json.Str err.Verify.Stage_error.code);
-            ]
-          "compile rejected"
-    | _ -> ());
-    answer reply
+    Obs.Log.debug srv.cfg.logger ~trace_id
+      ~fields:
+        [
+          ("id", Obs.Json.Str c.Proto.id);
+          ("code", Obs.Json.Str err.Verify.Stage_error.code);
+        ]
+      "compile rejected";
+    send reply
   in
   match Ir.Parse.loop_of_string c.Proto.ir with
   | Error e ->
@@ -256,8 +242,6 @@ let handle_compile srv ~conn ~send (c : Proto.compile) =
               let job =
                 {
                   Worker.id = c.Proto.id;
-                  trace_id;
-                  want_trace = c.Proto.trace;
                   qkey;
                   loop;
                   machine;
@@ -281,12 +265,9 @@ let handle_compile srv ~conn ~send (c : Proto.compile) =
                 Mutex.unlock conn.lock
               in
               match Admission.try_push srv.queue job with
-              | `Admitted _ ->
-                  Stats.bump srv.stats Obs.Counter.Serve_admitted 1;
-                  Stats.note_admitted srv.stats
+              | `Admitted _ -> Stats.note_admitted srv.stats
               | `Shed retry_after_ms ->
                   not_admitted ();
-                  Stats.bump srv.stats Obs.Counter.Serve_shed 1;
                   Stats.note_shed srv.stats;
                   (* Sheds are anomalies even though no request ring
                      entry exists: the anomaly ring is how a post-mortem
@@ -425,7 +406,7 @@ let run cfg =
   let trace_ids = Obs.Trace_id.gen ~seed:cfg.trace_seed in
   let queue = Admission.create ~limit:cfg.queue_limit () in
   let pool =
-    Worker.create ~queue ~stats ~flight ~cache:cfg.cache ~clock:cfg.clock
+    Worker.create ~queue ~stats ~cache:cfg.cache ~clock:cfg.clock
       ~faults_enabled:cfg.faults_enabled ~max_retries:cfg.max_retries
       ~workers:cfg.workers ()
   in

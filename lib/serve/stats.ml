@@ -38,14 +38,17 @@ let make ?(clock = fun () -> 0.0) ?(gc_stat = Gc.quick_stat) () =
     w_hits = w ();
   }
 
-let bump t c n =
-  if n <> 0 then begin
-    Mutex.lock t.lock;
-    (match Hashtbl.find_opt t.cells c with
+(* With [t.lock] held. *)
+let bump_locked t c n =
+  if n <> 0 then
+    match Hashtbl.find_opt t.cells c with
     | Some r -> r := !r + n
-    | None -> Hashtbl.add t.cells c (ref n));
-    Mutex.unlock t.lock
-  end
+    | None -> Hashtbl.add t.cells c (ref n)
+
+let bump t c n =
+  Mutex.lock t.lock;
+  bump_locked t c n;
+  Mutex.unlock t.lock
 
 let get t c =
   Mutex.lock t.lock;
@@ -54,9 +57,9 @@ let get t c =
   v
 
 let absorb t tr =
-  List.iter
-    (fun c -> bump t c (Obs.Trace.counter_total tr c))
-    Obs.Counter.all
+  Mutex.lock t.lock;
+  List.iter (fun c -> bump_locked t c (Obs.Trace.counter_total tr c)) Obs.Counter.all;
+  Mutex.unlock t.lock
 
 (* With [t.lock] held. *)
 let snapshot_locked t =
@@ -74,16 +77,26 @@ let snapshot t =
 
 let note_admitted t =
   Mutex.lock t.lock;
+  bump_locked t Obs.Counter.Serve_admitted 1;
   Obs.Window.add t.w_admitted;
   Mutex.unlock t.lock
 
 let note_shed t =
   Mutex.lock t.lock;
+  bump_locked t Obs.Counter.Serve_shed 1;
   Obs.Window.add t.w_shed;
   Mutex.unlock t.lock
 
-let note_result t ~rung ~cache_hit ~queue_ms ~compile_ms ~total_ms =
+let note_result t (r : Proto.result_reply) =
+  let { Proto.queue_ms; compile_ms; total_ms } = r.Proto.timing in
+  let cache_hit = r.Proto.cache = Proto.Hit in
   Mutex.lock t.lock;
+  (match Proto.status_of_reply (Proto.Result r) with
+  | "ok" ->
+      bump_locked t Obs.Counter.Serve_completed 1;
+      if cache_hit then bump_locked t Obs.Counter.Serve_cache_hits 1
+  | "timeout" -> bump_locked t Obs.Counter.Serve_timeouts 1
+  | _ -> bump_locked t Obs.Counter.Serve_failed 1);
   Obs.Histogram.record t.queue_ms queue_ms;
   Obs.Histogram.record t.compile_ms compile_ms;
   Obs.Histogram.record t.total_ms total_ms;
@@ -92,14 +105,14 @@ let note_result t ~rung ~cache_hit ~queue_ms ~compile_ms ~total_ms =
   (* Per-rung compile time only for code actually compiled on this
      request: a cache hit's compile_ms is ~0 and would dilute the rung
      it was originally produced by. *)
-  (match rung with
-  | Some r when not cache_hit ->
+  (match r.Proto.rung with
+  | Some rung when not cache_hit ->
       let h =
-        match Hashtbl.find_opt t.rungs r with
+        match Hashtbl.find_opt t.rungs rung with
         | Some h -> h
         | None ->
             let h = Obs.Histogram.make () in
-            Hashtbl.add t.rungs r h;
+            Hashtbl.add t.rungs rung h;
             h
       in
       Obs.Histogram.record h compile_ms

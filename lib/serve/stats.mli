@@ -28,31 +28,33 @@ val get : t -> Obs.Counter.t -> int
 
 val absorb : t -> Obs.Trace.t -> unit
 (** Fold a finished per-request trace's counter totals into the table
-    (labels are collapsed — the service reports totals). *)
+    (labels are collapsed — the service reports totals). Zero totals
+    touch no cell. *)
 
 val snapshot : t -> (string * int) list
 (** Every touched cell as [(name, value)], sorted by name. *)
 
-(** {2 Distributions}
+(** {2 Recording}
 
-    Called from the server's reply paths so every admitted request —
-    success, structured failure, deadline timeout, quarantine — lands in
-    the histograms, and overloads land in their window. *)
+    Each call records one service decision in every cell it feeds, so
+    no caller pairs a {!bump} with a [note_*]. *)
 
 val note_admitted : t -> unit
-val note_shed : t -> unit
+(** One admitted compile request: [serve.admitted] and the request-rate
+    window. *)
 
-val note_result :
-  t ->
-  rung:string option ->
-  cache_hit:bool ->
-  queue_ms:float ->
-  compile_ms:float ->
-  total_ms:float ->
-  unit
-(** Record one [Result] reply's timing. The per-rung compile histogram
-    is fed only when [rung] is present and the result was not served
-    from cache. *)
+val note_shed : t -> unit
+(** One overload shed: [serve.shed] and the overload-rate window. *)
+
+val note_result : t -> Proto.result_reply -> unit
+(** One answered compile request — called once per [Result] reply, by
+    the server's recording point, before the reply is written. Bumps
+    the status counter ([serve.completed] / [serve.failed] /
+    [serve.timeouts], after {!Proto.status_of_reply}) and
+    [serve.cache_hits] for an ok cache hit, and records the reply's
+    timing in the histograms and windows. The per-rung compile
+    histogram is fed only when the reply names a rung and was not
+    served from cache. *)
 
 val metrics_json : t -> Obs.Json.t
 (** The full [rbp-metrics/1] document: [schema], [uptime_s], the counter

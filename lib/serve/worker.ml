@@ -6,8 +6,6 @@ exception Crash of string
 
 type job = {
   id : string;
-  trace_id : string;
-  want_trace : bool;
   qkey : string;
   loop : Ir.Loop.t;
   machine : Mach.Machine.t;
@@ -16,7 +14,7 @@ type job = {
   submitted : float;
   fault : string option;
   attempt : int;
-  deliver : Proto.reply -> unit;
+  deliver : Obs.Trace.t option -> Proto.result_reply -> unit;
 }
 
 type slot = {
@@ -28,7 +26,6 @@ type slot = {
 type t = {
   queue : job Admission.t;
   stats : Stats.t;
-  flight : Flight.t;
   cache : Engine.Cache.t option;
   clock : unit -> float;
   faults_enabled : bool;
@@ -113,20 +110,6 @@ let decode_entry j =
 (* ------------------------------------------------------------------ *)
 (* One job                                                             *)
 
-(* Deliver a reply and retain its flight-recorder entry — one choke
-   point so every worker-side answer is recorded exactly once. The span
-   tree rides in the reply only when the client asked; the recorder
-   keeps a (truncated) copy either way. *)
-let deliver_result t (job : job) ?trace_tree (r : Proto.reply) =
-  match r with
-  | Proto.Result rr ->
-      let rr = { rr with Proto.trace_id = Some job.trace_id } in
-      job.deliver
-        (Proto.Result
-           { rr with Proto.trace = (if job.want_trace then trace_tree else None) });
-      Flight.record t.flight (Flight.of_result ?trace:trace_tree ~ts:(t.clock ()) rr)
-  | other -> job.deliver other
-
 let compile_job t (job : job) =
   let started = t.clock () in
   let queue_ms = 1000.0 *. (started -. job.submitted) in
@@ -136,21 +119,18 @@ let compile_job t (job : job) =
   if Engine.Cancel.cancelled job.token then
     (* Expired while queued: answer without spending a single pipeline
        stage on it — the deadline storm defense. *)
-    deliver_result t job
+    job.deliver None
       (Proto.error_reply ~cache:Proto.Bypass ~timing:(timing 0.0) ~id:job.id
          (Proto.queue_timeout_error ~id:job.id))
   else begin
     (if t.faults_enabled
        && job.fault = Some (Robust.Inject.service_fault_name Robust.Inject.Crash_worker)
      then raise (Crash job.id));
-    (* A private trace on the service clock: counter sink for the stats
-       table, span source for the flight recorder and traced replies.
-       Spans never reach an untraced reply, so the default wire format
-       is unchanged. *)
+    (* A private trace on the service clock, handed to [deliver] with
+       the reply: the server folds its counters into the stats table and
+       its spans into the flight recorder (and into the reply, when the
+       client asked). *)
     let tr = Obs.Trace.make ~clock:(fun () -> t.clock ()) () in
-    let trace_tree () =
-      Obs.Export.trace_json ~span_cap:(Flight.span_cap t.flight) tr
-    in
     let cached =
       match (t.cache, job.key) with
       | Some c, Some key -> (
@@ -165,23 +145,22 @@ let compile_job t (job : job) =
       | _ -> None
     in
     let miss_status = if job.key = None then Proto.Bypass else Proto.Miss in
-    (match cached with
+    match cached with
     | Some (metrics, rung, pipelined, flat_cycles, spills) ->
-        deliver_result t job ~trace_tree:(trace_tree ())
-          (Proto.Result
-             {
-               id = job.id;
-               trace_id = Some job.trace_id;
-               outcome = Ok metrics;
-               rung = Some rung;
-               pipelined;
-               flat_cycles;
-               cache = Proto.Hit;
-               spills;
-               attempts = [];
-               timing = timing 0.0;
-               trace = None;
-             })
+        job.deliver (Some tr)
+          {
+            id = job.id;
+            trace_id = None;
+            outcome = Ok metrics;
+            rung = Some rung;
+            pipelined;
+            flat_cycles;
+            cache = Proto.Hit;
+            spills;
+            attempts = [];
+            timing = timing 0.0;
+            trace = None;
+          }
     | None -> (
         let t0 = t.clock () in
         let cancel = Engine.Cancel.guard job.token in
@@ -200,30 +179,27 @@ let compile_job t (job : job) =
                 Engine.Cache.store c ~key
                   (encode_entry ~metrics ~rung ~pipelined ~flat_cycles ~spills)
             | _ -> ());
-            deliver_result t job ~trace_tree:(trace_tree ())
-              (Proto.Result
-                 {
-                   id = job.id;
-                   trace_id = Some job.trace_id;
-                   outcome = Ok metrics;
-                   rung = Some rung;
-                   pipelined;
-                   flat_cycles;
-                   cache = miss_status;
-                   spills;
-                   attempts =
-                     List.map Verify.Stage_error.attempt_to_string
-                       r.Robust.Driver.attempts;
-                   timing = timing (1000.0 *. (t.clock () -. t0));
-                   trace = None;
-                 })
+            job.deliver (Some tr)
+              {
+                id = job.id;
+                trace_id = None;
+                outcome = Ok metrics;
+                rung = Some rung;
+                pipelined;
+                flat_cycles;
+                cache = miss_status;
+                spills;
+                attempts =
+                  List.map Verify.Stage_error.attempt_to_string r.Robust.Driver.attempts;
+                timing = timing (1000.0 *. (t.clock () -. t0));
+                trace = None;
+              }
         | Error e ->
             let e = { e with Verify.Stage_error.subject = job.id } in
-            deliver_result t job ~trace_tree:(trace_tree ())
+            job.deliver (Some tr)
               (Proto.error_reply ~cache:miss_status
                  ~timing:(timing (1000.0 *. (t.clock () -. t0)))
-                 ~id:job.id e)));
-    Stats.absorb t.stats tr
+                 ~id:job.id e))
   end
 
 let run_job t job =
@@ -232,7 +208,7 @@ let run_job t job =
   | e ->
       (* Per-job crash isolation: an unexpected exception in one request
          becomes that request's structured failure, never the domain's. *)
-      deliver_result t job
+      job.deliver None
         (Proto.error_reply ~id:job.id
            (Verify.Stage_error.make ~code:"PIPE001"
               ~stage:Verify.Stage_error.Verification ~subject:job.id
@@ -277,7 +253,7 @@ let handle_dead t slot =
         Mutex.unlock t.qlock;
         Stats.bump t.stats Obs.Counter.Serve_quarantined 1;
         let total_ms = 1000.0 *. (t.clock () -. job.submitted) in
-        deliver_result t job
+        job.deliver None
           (Proto.error_reply
              ~timing:{ Proto.zero_timing with Proto.total_ms }
              ~id:job.id
@@ -286,8 +262,7 @@ let handle_dead t slot =
       else if not (Admission.push_force t.queue { job with attempt = crashes }) then
         (* Queue already closed: the retry cannot run, but the request
            still gets an answer. *)
-        deliver_result t job
-          (Proto.error_reply ~id:job.id (Proto.shutdown_error ~id:job.id)));
+        job.deliver None (Proto.error_reply ~id:job.id (Proto.shutdown_error ~id:job.id)));
   if not (Atomic.get t.stopping) then spawn t slot
 
 let rec supervise t =
@@ -297,13 +272,11 @@ let rec supervise t =
     supervise t
   end
 
-let create ~queue ~stats ~flight ~cache ~clock ~faults_enabled ~max_retries ~workers
-    () =
+let create ~queue ~stats ~cache ~clock ~faults_enabled ~max_retries ~workers () =
   let t =
     {
       queue;
       stats;
-      flight;
       cache;
       clock;
       faults_enabled;

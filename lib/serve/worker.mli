@@ -3,7 +3,11 @@
     Connection threads push {!job}s through the {!Admission} queue;
     each worker domain pops, compiles through the {!Robust.Driver}
     ladder (answering repeats from the {!Engine.Cache}), and calls the
-    job's [deliver] exactly once with a structured reply. Three layers
+    job's [deliver] exactly once with a structured reply and, when it
+    compiled or probed the cache, the request's trace. The worker
+    records nothing about the answer itself: [deliver] is the server's
+    single recording point (stats, flight recorder, trace id, span
+    tree), run before the reply is written. Three layers
     of isolation keep one request from hurting another:
 
     - {e per-job}: an unexpected exception becomes that request's
@@ -25,8 +29,6 @@ exception Crash of string
 
 type job = {
   id : string;
-  trace_id : string;  (** resolved trace identity, echoed in every reply *)
-  want_trace : bool;  (** attach the span tree to the reply *)
   qkey : string;  (** quarantine key: digest of (loop, machine, fault) *)
   loop : Ir.Loop.t;
   machine : Mach.Machine.t;
@@ -35,7 +37,10 @@ type job = {
   submitted : float;  (** clock reading at admission, for [queue_ms] *)
   fault : string option;
   attempt : int;  (** prior worker crashes of this job *)
-  deliver : Proto.reply -> unit;  (** called exactly once *)
+  deliver : Obs.Trace.t option -> Proto.result_reply -> unit;
+      (** called exactly once, with the request's trace when the worker
+          ran one ([None] for answers given without compiling: queue
+          expiry, quarantine, a per-job exception, shutdown) *)
 }
 
 type t
@@ -43,7 +48,6 @@ type t
 val create :
   queue:job Admission.t ->
   stats:Stats.t ->
-  flight:Flight.t ->
   cache:Engine.Cache.t option ->
   clock:(unit -> float) ->
   faults_enabled:bool ->

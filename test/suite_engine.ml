@@ -97,6 +97,21 @@ let key_tests =
           (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) k);
         check Alcotest.string "deterministic" k
           (Engine.Key.make [ ("loop", "body"); ("machine", "m") ]));
+    case "salt-carries-the-source-digest" (fun () ->
+        (* Every key is tied to the library sources it was computed by:
+           the salt ends with the build-time digest of lib/, and the
+           encoding every key hashes starts with that salt. *)
+        let d = Engine.Key.source_digest in
+        check Alcotest.int "digest length" 32 (String.length d);
+        check Alcotest.bool "digest is hex" true
+          (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) d);
+        check Alcotest.string "salt = format prefix + source digest"
+          ("rbp-engine/2+" ^ d) Engine.Key.version_salt;
+        let salt = Engine.Key.version_salt in
+        let prefix = Printf.sprintf "%d:%s" (String.length salt) salt in
+        let enc = Engine.Key.encode [ ("loop", "body") ] in
+        check Alcotest.string "encoding leads with the salt" prefix
+          (String.sub enc 0 (String.length prefix)));
   ]
 
 (* --- cache store --------------------------------------------------- *)

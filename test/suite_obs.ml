@@ -6,6 +6,7 @@ open Testlib
    pipeline libraries. *)
 
 let fake_ctx () = Obs.Trace.make ~clock:(Obs.Clock.fake ()) ()
+let count_events p t = List.length (List.filter p (Obs.Trace.events t))
 
 let clock_tests =
   [
@@ -90,19 +91,6 @@ let span_tests =
         let t = fake_ctx () in
         Obs.Trace.add_attr (Some t) "k" "v";
         check Alcotest.int "no roots" 0 (List.length (Obs.Trace.roots t)));
-    case "totals-by-name-aggregates" (fun () ->
-        let t = fake_ctx () in
-        let obs = Some t in
-        Obs.Trace.span obs "stage" (fun () -> ());
-        Obs.Trace.span obs "stage" (fun () -> ());
-        Obs.Trace.span obs "other" (fun () -> ());
-        match Obs.Trace.totals_by_name t with
-        | [ ("other", od, oc); ("stage", sd, sc) ] ->
-            check Alcotest.int "stage calls" 2 sc;
-            check Alcotest.int "other calls" 1 oc;
-            check (Alcotest.float 1e-9) "stage total" 0.002 sd;
-            check (Alcotest.float 1e-9) "other total" 0.001 od
-        | l -> Alcotest.failf "unexpected totals (%d entries)" (List.length l));
   ]
 
 let counter_tests =
@@ -140,6 +128,50 @@ let counter_tests =
             check Alcotest.int "last" 2 last;
             check Alcotest.int "max" 9 mx
         | _ -> Alcotest.fail "expected one gauge cell");
+    case "events-tally-their-derived-cells" (fun () ->
+        (* Each decision event feeds its counter / gauge cells through
+           emit; events no counter summarises touch no cell. *)
+        let t = fake_ctx () in
+        let obs = Some t in
+        let place ?(pinned = false) ?(ties = []) node =
+          Obs.Trace.emit obs
+            (Obs.Events.Greedy_place
+               { node; bank = 0; benefit = 0.0; benefits = []; ties; pinned })
+        in
+        Obs.Trace.emit obs
+          (Obs.Events.Greedy_penalty { penalty = 1.0; mean_edge = 1.0; nodes = 3; banks = 2 });
+        Obs.Trace.emit obs
+          (Obs.Events.Rcg_edge { a = "a"; b = "b"; term = Obs.Events.Attract; w = 1.0 });
+        check Alcotest.int "untallied events leave no cell" 0
+          (List.length (Obs.Trace.counters t) + List.length (Obs.Trace.gauges t));
+        place "a";
+        place ~ties:[ 0; 1 ] "b";
+        place ~pinned:true "c";
+        Obs.Trace.emit obs
+          (Obs.Events.Sched_evict { op = 1; by = 2; cycle = 0; reason = "conflict" });
+        Obs.Trace.emit obs (Obs.Events.Ii_escalate { ii = 1; cause = "resource" });
+        Obs.Trace.emit obs (Obs.Events.Ii_escalate { ii = 2; cause = "budget" });
+        Obs.Trace.emit obs
+          (Obs.Events.Copy_route
+             { reg = "a"; copy = "a@c1"; src_bank = 0; dst_bank = 1; reaching = "carried" });
+        Obs.Trace.emit obs (Obs.Events.Spill { reg = "b"; bank = 1; round = 1 });
+        Obs.Trace.emit obs
+          (Obs.Events.Alloc_pressure
+             { bank = 1; round = 1; pressure = 2; conflict_nodes = 5; conflict_edges = 4 });
+        check
+          Alcotest.(list (triple string (option string) int))
+          "counter cells"
+          [
+            ("alloc.spilled", None, 1); ("copies.inserted", Some "0->1", 1);
+            ("greedy.decisions", None, 2); ("greedy.pinned", None, 1);
+            ("greedy.tie_breaks", None, 1); ("sched.budget_exhausted", None, 1);
+            ("sched.evictions", None, 1); ("sched.ii_escalations", None, 2);
+          ]
+          (Obs.Trace.counters t);
+        check Alcotest.bool "conflict gauges labelled by bank" true
+          (Obs.Trace.gauges t
+          = [ ("alloc.conflict_edges", Some "bank1", 4, 4);
+              ("alloc.conflict_nodes", Some "bank1", 5, 5) ]));
     case "counter-names-unique" (fun () ->
         let names = List.map Obs.Counter.name Obs.Counter.all in
         check Alcotest.int "no duplicates" (List.length names)
@@ -315,6 +347,29 @@ let probe_tests =
               (o.Sched.Modulo.placements_tried >= Ir.Loop.size loop);
             check Alcotest.bool "at least one II tried" true (o.Sched.Modulo.iis_tried >= 1);
             check Alcotest.bool "evictions non-negative" true (o.Sched.Modulo.evictions >= 0));
+    case "swing-escalation-emits-its-cause" (fun () ->
+        (* Started below the accumulator recurrence's bound, Swing must
+           abandon II 1 and say why, in Modulo's cause vocabulary. *)
+        let ddg = Ddg.Graph.of_loop (Workload.Kernels.dot ~unroll:1) in
+        let t = fake_ctx () in
+        match Sched.Swing.schedule ~obs:t ~machine:ideal16 ~mii:1 ddg with
+        | None -> Alcotest.fail "no schedule"
+        | Some o ->
+            let causes =
+              List.filter_map
+                (function Obs.Events.Ii_escalate { cause; _ } -> Some cause | _ -> None)
+                (Obs.Trace.events t)
+            in
+            check Alcotest.bool "escalated" true (o.Sched.Modulo.ii > 1);
+            check Alcotest.int "one event per abandoned II" (o.Sched.Modulo.iis_tried - 1)
+              (List.length causes);
+            List.iter
+              (fun c ->
+                check Alcotest.bool (Printf.sprintf "documented cause %S" c) true
+                  (List.mem c [ "rec_mii"; "self_edge"; "resource" ]))
+              causes;
+            check Alcotest.int "escalations tallied" (List.length causes)
+              (Obs.Trace.counter_total t Obs.Counter.Sched_ii_escalations));
     case "swing-effort-stats-populated" (fun () ->
         let loop = Workload.Kernels.daxpy ~unroll:2 in
         let ddg = Ddg.Graph.of_loop loop in
@@ -334,6 +389,11 @@ let probe_tests =
             check Alcotest.int "copies counter matches result"
               r.Partition.Driver.n_copies
               (Obs.Trace.counter_total t Obs.Counter.Copies_inserted);
+            check Alcotest.int "one copies.route event per inserted copy"
+              r.Partition.Driver.n_copies
+              (count_events (function Obs.Events.Copy_route _ -> true | _ -> false) t);
+            check Alcotest.int "one greedy.penalty preamble" 1
+              (count_events (function Obs.Events.Greedy_penalty _ -> true | _ -> false) t);
             check Alcotest.bool "greedy decisions counted" true
               (Obs.Trace.counter_value t Obs.Counter.Greedy_decisions > 0);
             check Alcotest.bool "placements counted" true
@@ -356,7 +416,12 @@ let probe_tests =
                   (List.exists
                      (fun (name, label, _, _) ->
                        name = "alloc.conflict_nodes" && label = Some "bank0")
-                     (Obs.Trace.gauges t))));
+                     (Obs.Trace.gauges t));
+                check Alcotest.bool "pressure reported for some bank" true
+                  (count_events
+                     (function Obs.Events.Alloc_pressure _ -> true | _ -> false)
+                     t
+                  >= 1)));
     case "ladder-rung-counters" (fun () ->
         let t = fake_ctx () in
         match Robust.Driver.run ~obs:t ~machine:m4x4e (Workload.Kernels.daxpy ~unroll:2) with
@@ -376,37 +441,7 @@ let event_tests =
     | Ok r -> (t, r)
     | Error e -> Alcotest.failf "pipeline: %s" (Verify.Stage_error.to_string e)
   in
-  let count p t = List.length (List.filter p (Obs.Trace.events t)) in
   [
-    case "event-counts-agree-with-counters" (fun () ->
-        (* Counters and events are emitted at the same decision sites;
-           their totals must tell one story. *)
-        let t, r = traced (Workload.Kernels.hydro ~unroll:2) m8x2e in
-        check Alcotest.int "greedy.place(unpinned) = greedy.decisions"
-          (Obs.Trace.counter_value t Obs.Counter.Greedy_decisions)
-          (count (function Obs.Events.Greedy_place { pinned; _ } -> not pinned | _ -> false) t);
-        check Alcotest.int "greedy.place(pinned) = greedy.pinned"
-          (Obs.Trace.counter_value t Obs.Counter.Greedy_pinned)
-          (count (function Obs.Events.Greedy_place { pinned; _ } -> pinned | _ -> false) t);
-        check Alcotest.int "greedy.place(tied) = greedy.tie_breaks"
-          (Obs.Trace.counter_value t Obs.Counter.Greedy_tie_breaks)
-          (count
-             (function Obs.Events.Greedy_place { ties; _ } -> ties <> [] | _ -> false)
-             t);
-        check Alcotest.int "sched.evict events = sched.evictions"
-          (Obs.Trace.counter_total t Obs.Counter.Sched_evictions)
-          (count (function Obs.Events.Sched_evict _ -> true | _ -> false) t);
-        check Alcotest.int "sched.escalate events = sched.ii_escalations"
-          (Obs.Trace.counter_total t Obs.Counter.Sched_ii_escalations)
-          (count (function Obs.Events.Ii_escalate _ -> true | _ -> false) t);
-        check Alcotest.int "copies.route events = copies.inserted total"
-          (Obs.Trace.counter_total t Obs.Counter.Copies_inserted)
-          (count (function Obs.Events.Copy_route _ -> true | _ -> false) t);
-        check Alcotest.int "copies.route events = result copies"
-          r.Partition.Driver.n_copies
-          (count (function Obs.Events.Copy_route _ -> true | _ -> false) t);
-        check Alcotest.int "one greedy.penalty preamble" 1
-          (count (function Obs.Events.Greedy_penalty _ -> true | _ -> false) t));
     case "event-count-matches-stream" (fun () ->
         let t, _ = traced (Workload.Kernels.daxpy ~unroll:2) m4x4e in
         check Alcotest.int "event_count = |events|"
@@ -425,24 +460,6 @@ let event_tests =
               (fun v ->
                 check Alcotest.bool "event line has a name" true (jstr "name" v <> None))
               events);
-    case "alloc-spill-events-match-counter" (fun () ->
-        let loop = Workload.Kernels.daxpy ~unroll:2 in
-        let t = fake_ctx () in
-        match Partition.Driver.pipeline ~machine:m2x8e loop with
-        | Error e -> Alcotest.failf "pipeline: %s" (Verify.Stage_error.to_string e)
-        | Ok r -> (
-            match
-              Regalloc.Alloc.allocate_loop ~obs:t ~machine:m2x8e
-                ~assignment:r.Partition.Driver.assignment r.Partition.Driver.rewritten
-            with
-            | Error e -> Alcotest.failf "alloc: %s" (Verify.Stage_error.to_string e)
-            | Ok _ ->
-                check Alcotest.int "alloc.spill events = spilled_registers"
-                  (Obs.Trace.counter_total t Obs.Counter.Spilled_registers)
-                  (count (function Obs.Events.Spill _ -> true | _ -> false) t);
-                check Alcotest.bool "pressure reported for some bank" true
-                  (count (function Obs.Events.Alloc_pressure _ -> true | _ -> false) t
-                  >= 1)));
     case "event-json-round-trips" (fun () ->
         let t, _ = traced (Workload.Kernels.hydro ~unroll:2) m8x2e in
         Obs.Trace.iter_events

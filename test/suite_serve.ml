@@ -113,10 +113,11 @@ let proto_tests =
         check Alcotest.string "ok" "ok" (Proto.status_of_reply (Proto.Result sample_result));
         check Alcotest.string "timeout" "timeout"
           (Proto.status_of_reply
-             (Proto.error_reply ~id:"t" (Proto.queue_timeout_error ~id:"t")));
+             (Proto.Result (Proto.error_reply ~id:"t" (Proto.queue_timeout_error ~id:"t"))));
         check Alcotest.string "quarantine is error" "error"
           (Proto.status_of_reply
-             (Proto.error_reply ~id:"q" (Proto.quarantine_error ~id:"q" ~crashes:3)));
+             (Proto.Result
+                (Proto.error_reply ~id:"q" (Proto.quarantine_error ~id:"q" ~crashes:3))));
         check Alcotest.string "overload" "overload"
           (Proto.status_of_reply (Proto.Overload { id = ""; depth = 0; retry_after_ms = 25.0 }));
         check Alcotest.string "bad_frame" "bad_frame"
@@ -272,6 +273,16 @@ let wire_tests =
 let frozen_gc = lazy (Gc.quick_stat ())
 let frozen_gc_stat () = Lazy.force frozen_gc
 
+(* A [Result] reply with the given provenance and timing — what the
+   server's recording point hands [Stats.note_result]. *)
+let timed_result ~rung ~cache_hit ~queue_ms ~compile_ms ~total_ms =
+  {
+    sample_result with
+    Proto.rung;
+    cache = (if cache_hit then Proto.Hit else Proto.Miss);
+    timing = { Proto.queue_ms; compile_ms; total_ms };
+  }
+
 let stats_tests =
   [
     case "bump-get-snapshot" (fun () ->
@@ -307,10 +318,12 @@ let stats_tests =
     case "metrics-document-shape" (fun () ->
         let s = Stats.make ~clock:(Obs.Clock.frozen 2.0) ~gc_stat:frozen_gc_stat () in
         Stats.note_admitted s;
-        Stats.note_result s ~rung:(Some "greedy budget=10") ~cache_hit:false
-          ~queue_ms:1.0 ~compile_ms:20.0 ~total_ms:21.0;
-        Stats.note_result s ~rung:(Some "greedy budget=10") ~cache_hit:true
-          ~queue_ms:0.5 ~compile_ms:0.0 ~total_ms:0.5;
+        Stats.note_result s
+          (timed_result ~rung:(Some "greedy budget=10") ~cache_hit:false ~queue_ms:1.0
+             ~compile_ms:20.0 ~total_ms:21.0);
+        Stats.note_result s
+          (timed_result ~rung:(Some "greedy budget=10") ~cache_hit:true ~queue_ms:0.5
+             ~compile_ms:0.0 ~total_ms:0.5);
         let j = Stats.metrics_json s in
         check Alcotest.bool "schema marker" true
           (Option.bind (Obs.Json.member "schema" j) Obs.Json.to_str = Some Stats.schema);
@@ -337,15 +350,15 @@ let stats_tests =
               ~clock:(Obs.Clock.fake ~start:100.0 ~step:0.125 ())
               ~gc_stat:frozen_gc_stat ()
           in
-          Stats.bump s Obs.Counter.Serve_admitted 4;
           Stats.note_shed s;
           for i = 1 to 4 do
             Stats.note_admitted s;
             Stats.note_result s
-              ~rung:(if i mod 2 = 0 then Some "greedy budget=10" else Some "ilp")
-              ~cache_hit:(i = 4) ~queue_ms:(float_of_int i *. 0.25)
-              ~compile_ms:(float_of_int i *. 3.0)
-              ~total_ms:(float_of_int i *. 3.25)
+              (timed_result
+                 ~rung:(if i mod 2 = 0 then Some "greedy budget=10" else Some "ilp")
+                 ~cache_hit:(i = 4) ~queue_ms:(float_of_int i *. 0.25)
+                 ~compile_ms:(float_of_int i *. 3.0)
+                 ~total_ms:(float_of_int i *. 3.25))
           done;
           Obs.Json.to_string (Stats.metrics_json s)
         in
@@ -456,17 +469,17 @@ let flight_tests =
    the producer and the consumer are tested against each other. *)
 let sample_metrics_doc () =
   let s = Stats.make ~clock:(Obs.Clock.frozen 30.0) ~gc_stat:frozen_gc_stat () in
-  Stats.bump s Obs.Counter.Serve_admitted 3;
-  Stats.bump s Obs.Counter.Serve_cache_hits 1;
   Stats.note_admitted s;
   Stats.note_admitted s;
   Stats.note_admitted s;
-  Stats.note_result s ~rung:(Some "greedy budget=10") ~cache_hit:false ~queue_ms:2.0
-    ~compile_ms:40.0 ~total_ms:42.0;
-  Stats.note_result s ~rung:(Some "greedy budget=10") ~cache_hit:false ~queue_ms:4.0
-    ~compile_ms:80.0 ~total_ms:84.0;
-  Stats.note_result s ~rung:None ~cache_hit:true ~queue_ms:1.0 ~compile_ms:0.0
-    ~total_ms:1.0;
+  Stats.note_result s
+    (timed_result ~rung:(Some "greedy budget=10") ~cache_hit:false ~queue_ms:2.0
+       ~compile_ms:40.0 ~total_ms:42.0);
+  Stats.note_result s
+    (timed_result ~rung:(Some "greedy budget=10") ~cache_hit:false ~queue_ms:4.0
+       ~compile_ms:80.0 ~total_ms:84.0);
+  Stats.note_result s
+    (timed_result ~rung:None ~cache_hit:true ~queue_ms:1.0 ~compile_ms:0.0 ~total_ms:1.0);
   Stats.metrics_json s
 
 let metrics_tests =
@@ -562,16 +575,16 @@ let rec rm_rf path =
 (* Start [Server.run] on a fresh Unix socket in a background thread and
    hand the address to [f]; shutdown (via the wire op) and cleanup are
    guaranteed. Returns the daemon's exit code. *)
-let with_daemon ?queue_limit ?default_deadline_ms ?max_retries ?(cache = false)
-    ?logger ?trace_seed f =
+let with_daemon ?(workers = 2) ?queue_limit ?default_deadline_ms ?max_retries
+    ?(cache = false) ?clock ?logger ?trace_seed f =
   let dir = temp_dir "rbp-serve-test" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let addr = Wire.Unix_path (Filename.concat dir "d.sock") in
   let cache = if cache then Some (Engine.Cache.open_ ~dir:(Filename.concat dir "cache") ()) else None in
   let logger = Option.value logger ~default:Obs.Log.null in
   let cfg =
-    Server.config ~workers:2 ?queue_limit ?default_deadline_ms ?max_retries ?cache
-      ~faults_enabled:true ~allow_shutdown:true ~logger ?trace_seed addr
+    Server.config ~workers ?queue_limit ?default_deadline_ms ?max_retries ?cache
+      ~faults_enabled:true ~allow_shutdown:true ?clock ~logger ?trace_seed addr
   in
   let code = ref (-1) in
   let daemon = Thread.create (fun () -> code := Server.run cfg) () in
@@ -918,6 +931,78 @@ let daemon_tests =
                   check Alcotest.bool "completed requests retained" true
                     (List.exists (fun e -> e.Flight.id = "h") reqs))
           | reply -> Alcotest.failf "flight got %s" (Proto.status_of_reply reply)
+        in
+        check Alcotest.int "clean shutdown" 0 code);
+    slow_case "every-answer-is-recorded-before-it-is-written" (fun () ->
+        (* The daemon of [rbp serve --deterministic]: a frozen request
+           clock (so a 0 ms deadline has always expired by the time a
+           worker pops the job), seed-0 trace ids, one worker; with no
+           retries the poison request is quarantined on its first crash.
+           After each reply, the stats and flight ops must already
+           account for that request. *)
+        let (), code =
+          with_daemon ~workers:1 ~cache:true ~max_retries:0
+            ~clock:(Obs.Clock.frozen 0.0) ~trace_seed:0
+          @@ fun addr ->
+          let c = connect_ok addr in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          let loop = Workload.Kernels.daxpy ~unroll:2 in
+          let broken =
+            Proto.Compile
+              { Proto.id = "parse"; ir = "loop \"x\" { this is not ir }";
+                clusters = 4; model = Mach.Machine.Embedded;
+                deadline_ms = None; no_cache = false; fault = None;
+                trace_id = Some "the-parse"; trace = false }
+          in
+          let requests =
+            [
+              ("the-ok", "ok", compile_req ~id:"ok" ~trace_id:"the-ok" loop);
+              ("the-hit", "ok", compile_req ~id:"hit" ~trace_id:"the-hit" loop);
+              ("the-parse", "error", broken);
+              ( "the-expired", "timeout",
+                compile_req ~id:"expired" ~trace_id:"the-expired" ~deadline_ms:0.0
+                  (Workload.Kernels.hydro ~unroll:2) );
+              ( "the-poison", "error",
+                compile_req ~id:"poison" ~trace_id:"the-poison" ~fault:"crash-worker" loop );
+            ]
+          in
+          let counter counters name = Option.value ~default:0 (List.assoc_opt name counters) in
+          List.iteri
+            (fun i (trace_id, status, req) ->
+              let r = expect_result trace_id (request_ok c req) in
+              check Alcotest.string (trace_id ^ " status") status
+                (Proto.status_of_reply (Proto.Result r));
+              let counters =
+                match request_ok c Proto.Stats with
+                | Proto.Stats_reply counters -> counters
+                | reply -> Alcotest.failf "stats got %s" (Proto.status_of_reply reply)
+              in
+              let ring =
+                match request_ok c (Proto.Flight { id = None; anomalies = false }) with
+                | Proto.Flight_reply doc -> (
+                    match Flight.entries_of_json doc with
+                    | Ok (reqs, _) -> reqs
+                    | Error e -> Alcotest.failf "flight doc: %s" e)
+                | reply -> Alcotest.failf "flight got %s" (Proto.status_of_reply reply)
+              in
+              check Alcotest.int (trace_id ^ ": ring holds every answer") (i + 1)
+                (List.length ring);
+              check Alcotest.bool (trace_id ^ ": ring holds this answer") true
+                (List.exists (fun e -> e.Flight.trace_id = trace_id) ring);
+              check Alcotest.int
+                (trace_id ^ ": completed + failed + timeouts = ring entries")
+                (List.length ring)
+                (counter counters "serve.completed" + counter counters "serve.failed"
+                + counter counters "serve.timeouts");
+              check Alcotest.int (trace_id ^ ": cache hits = ring hits")
+                (List.length (List.filter (fun e -> e.Flight.cache = "hit") ring))
+                (counter counters "serve.cache_hits");
+              (* the first compile's trace counters reached the table too *)
+              check Alcotest.bool (trace_id ^ ": per-request counters absorbed") true
+                (counter counters "sched.placements" > 0
+                && counter counters "greedy.decisions" > 0
+                && counter counters "ladder.rung_entered" > 0))
+            requests
         in
         check Alcotest.int "clean shutdown" 0 code);
     slow_case "bombard-trace-sampling-checks-the-returned-trees" (fun () ->

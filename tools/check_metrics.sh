@@ -8,7 +8,10 @@
 #      sample of that family — a declared-but-empty family means an
 #      instrumentation point was never wired up;
 #   3. the three latency summaries carry a non-zero `_count` — after a
-#      bombardment the daemon must have recorded real distributions.
+#      bombardment the daemon must have recorded real distributions;
+#   4. the per-request pipeline counters rbp_greedy_decisions_total,
+#      rbp_sched_placements_total and rbp_ladder_rung_entered_total are
+#      non-zero — each compile's trace must reach the daemon's stats.
 #
 # Usage: check_metrics.sh [exposition-file]   (stdin when omitted)
 set -eu
@@ -40,6 +43,7 @@ awk '
     sub(/_(sum|count)$/, "", base)
     samples[base]++
     if (name ~ /_count$/) counts[name] = $2
+    if (name ~ /_total$/) totals[name] += $2
   }
   END {
     for (fam in declared)
@@ -50,6 +54,10 @@ awk '
       if (!(c in counts)) fail("latency family " lat[i] " missing its _count sample")
       else if (counts[c] + 0 <= 0) fail("latency family " lat[i] " is empty (count " counts[c] ")")
     }
+    n = split("rbp_greedy_decisions_total rbp_sched_placements_total rbp_ladder_rung_entered_total", per, " ")
+    for (i = 1; i <= n; i++)
+      if (!(per[i] in totals) || totals[per[i]] + 0 <= 0)
+        fail("per-request counter " per[i] " is missing or zero")
     exit bad
   }
 ' "$tmp"
