@@ -2,7 +2,7 @@
 
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
-        metrics-check logs-check exact exact-baseline exact-perfdiff
+        metrics-check logs-check exact exact-baseline exact-perfdiff perfbench
 
 all: build
 
@@ -64,6 +64,15 @@ bench-baseline:
 perfdiff:
 	dune exec bench/main.exe -- quick-json BENCH_quick.json -j $(J)
 	dune exec bin/rbp.exe -- perfdiff bench/baseline/BENCH_quick.json BENCH_quick.json
+
+# The benchmark of record, one 20 s run per workload at seed 1: prints the
+# sweep, serve and exact result lines (JSON) in turn. Run it on two
+# checkouts to compare a change against its parent on the same seed.
+perfbench:
+	@for w in sweep serve exact; do \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 20) || exit 1; \
+	  echo "$$out" | tail -n 1; \
+	done
 
 # The exact branch-and-bound study: provably optimal II + bank assignment
 # for every tractable suite loop (<= 12 registers), against the greedy

@@ -215,7 +215,7 @@ let list_cmd =
         if verbose then begin
           let ddg = Ddg.Graph.of_loop loop in
           let rec_mii = Ddg.Minii.rec_mii ddg in
-          let mii = Ddg.Minii.min_ii ~width:16 ddg in
+          let mii = max (Ddg.Minii.res_mii ~width:16 (Ddg.Graph.size ddg)) rec_mii in
           Util.Table.add_row t
             [
               Ir.Loop.name loop;
@@ -247,9 +247,10 @@ let show_cmd =
     let loop = or_die (load_loop ~seed name) in
     Format.printf "%a@." Ir.Loop.pp loop;
     let ddg = Ddg.Graph.of_loop loop in
+    let rec_mii = Ddg.Minii.rec_mii ddg in
     Format.printf "MinII (16-wide) = %d   RecMII = %d   critical path = %d cycles@."
-      (Ddg.Minii.min_ii ~width:16 ddg)
-      (Ddg.Minii.rec_mii ddg)
+      (max (Ddg.Minii.res_mii ~width:16 (Ddg.Graph.size ddg)) rec_mii)
+      rec_mii
       (Ddg.Graph.critical_path_length ddg);
     match Sched.Modulo.ideal ~machine:Mach.Machine.paper_ideal ddg with
     | None -> print_endline "ideal pipeline: FAILED"

@@ -23,13 +23,15 @@ let add_dep g ~src ~dst dep = Graphlib.Digraph.add_edge g ~src ~dst dep
 let build_register_deps ~latency ~carried g ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
-  let positions_defining r =
-    let acc = ref [] in
-    for i = n - 1 downto 0 do
-      if List.exists (Ir.Vreg.equal r) (Ir.Op.defs arr.(i)) then acc := i :: !acc
-    done;
-    !acc
-  in
+  (* Register -> ascending positions of the ops defining it (an op
+     defines at most one register). *)
+  let defs_at = Ir.Vreg.Tbl.create 64 in
+  let positions_defining r = Option.value ~default:[] (Ir.Vreg.Tbl.find_opt defs_at r) in
+  for i = n - 1 downto 0 do
+    List.iter
+      (fun r -> Ir.Vreg.Tbl.replace defs_at r (i :: positions_defining r))
+      (Ir.Op.defs arr.(i))
+  done;
   (* Same-iteration edges. *)
   for p = 0 to n - 1 do
     let dp = arr.(p) in

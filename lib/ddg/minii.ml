@@ -38,24 +38,81 @@ let res_mii_clustered ~machine ~ops_per_cluster ~copies_per_cluster =
 let upper_bound ddg =
   1 + List.fold_left (fun acc op -> acc + Graph.latency_of ddg op) 0 (Graph.ops_in_order ddg)
 
-let feasible ddg ii =
-  not
-    (Graphlib.Cycles.has_positive_cycle
-       ~weight:(fun (e : Dep.t Graphlib.Digraph.edge) ->
-         Dep.latency e.label - (ii * Dep.distance e.label))
-       (Graph.graph ddg))
+(* One SCC's internal edges as int arrays over dense local indices.
+   [hi] is 1 + the sum over its nodes of their largest intra-SCC
+   out-edge latency: every simple circuit stays below it. *)
+type scc = { n : int; src : int array; dst : int array; lat : int array; dist : int array; hi : int }
+
+let scc_of g comp =
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace index v i) comp;
+  let edges = ref [] and hi = ref 1 in
+  List.iter
+    (fun v ->
+      let max_lat = ref 0 in
+      List.iter
+        (fun (e : Dep.t Graphlib.Digraph.edge) ->
+          match Hashtbl.find_opt index e.dst with
+          | None -> ()
+          | Some j ->
+              max_lat := max !max_lat (Dep.latency e.label);
+              edges := (Hashtbl.find index v, j, e.label) :: !edges)
+        (Graphlib.Digraph.succs g v);
+      hi := !hi + !max_lat)
+    comp;
+  let edges = Array.of_list !edges in
+  let field f = Array.map f edges in
+  {
+    n = List.length comp;
+    src = field (fun (s, _, _) -> s);
+    dst = field (fun (_, d, _) -> d);
+    lat = field (fun (_, _, l) -> Dep.latency l);
+    dist = field (fun (_, _, l) -> Dep.distance l);
+    hi = !hi;
+  }
+
+(* Longest-path Bellman-Ford under weight [lat - ii*dist], every node
+   starting at 0: a positive cycle exists iff each of the first [n]
+   rounds still relaxes some edge. *)
+let feasible s ii =
+  let d = Array.make s.n 0 in
+  let relax () =
+    let changed = ref false in
+    for k = 0 to Array.length s.src - 1 do
+      let c = d.(s.src.(k)) + s.lat.(k) - (ii * s.dist.(k)) in
+      if c > d.(s.dst.(k)) then begin
+        d.(s.dst.(k)) <- c;
+        changed := true
+      end
+    done;
+    !changed
+  in
+  let rec run i = i > s.n || (relax () && run (i + 1)) in
+  not (run 1)
 
 let rec_mii ddg =
-  (* Cycle weight Σlat − II·Σdist is strictly decreasing in II for any
-     circuit (every circuit carries distance >= 1 in a well-formed body),
-     so feasibility is monotone and binary search applies. *)
-  let hi = upper_bound ddg in
-  let rec search lo hi =
+  (* Every circuit lives inside one SCC, and the whole body is feasible at
+     II iff each SCC is. Within an SCC, cycle weight Σlat − II·Σdist is
+     strictly decreasing in II for any circuit (every circuit carries
+     distance >= 1 in a well-formed body), so feasibility is monotone and
+     binary search applies; the running maximum over the SCCs already
+     searched is each search's lower bound. An SCC infeasible at its own
+     [hi] has a zero-distance circuit and no feasible II at all: the
+     answer is then [upper_bound], as for a search over the whole graph. *)
+  let top = upper_bound ddg in
+  let g = Graph.graph ddg in
+  let rec search s lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if feasible ddg mid then search lo mid else search (mid + 1) hi
+      if feasible s mid then search s lo mid else search s (mid + 1) hi
   in
-  search 1 hi
+  let per_scc lo comp =
+    let s = scc_of g comp in
+    let hi = max lo s.hi in
+    let r = search s lo (hi + 1) in
+    if r > hi then top else r
+  in
+  min top (List.fold_left per_scc 1 (Graphlib.Scc.nontrivial g))
 
 let min_ii ~width ddg = max (res_mii ~width (Graph.size ddg)) (rec_mii ddg)

@@ -20,8 +20,15 @@ val res_mii_clustered :
 val rec_mii : Graph.t -> int
 (** Smallest II such that no recurrence circuit C has
     Σ latency(C) > II · Σ distance(C); 1 when the DDG is acyclic.
-    Computed by binary search with positive-cycle detection under edge
-    weight [latency − II·distance]. *)
+    Every circuit lives inside one strongly connected component, so each
+    non-trivial SCC is searched on its own: its internal edges are
+    copied once into int arrays, and II is binary-searched with
+    Bellman-Ford positive-cycle detection under edge weight
+    [latency − II·distance]. Each search runs from the largest II found
+    so far up to 1 + the sum over the SCC's nodes of their largest
+    intra-SCC edge latency. The result is the maximum over the SCCs,
+    clamped to {!upper_bound}: a circuit of distance 0, which no II
+    satisfies, yields [upper_bound]. *)
 
 val min_ii : width:int -> Graph.t -> int
 (** [max (res_mii ...) (rec_mii ...)]. *)

@@ -1,9 +1,6 @@
 type leaf = { mii : int; copies : int }
 
-let static_lower ~machine ddg =
-  max
-    (Ddg.Minii.res_mii ~width:(Mach.Machine.width machine) (Ddg.Graph.size ddg))
-    (Ddg.Minii.rec_mii ddg)
+let static_lower ~machine ddg = Ddg.Minii.min_ii ~width:(Mach.Machine.width machine) ddg
 
 let copies_mii ~machine (ins : Partition.Copies.result) =
   match

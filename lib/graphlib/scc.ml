@@ -1,5 +1,5 @@
-(* Iterative Tarjan: explicit stack to survive the deep DDGs produced by
-   long straight-line loop bodies. *)
+(* Recursive Tarjan: [strongconnect] recurses once per node along a DFS
+   path, so the OCaml stack depth grows with the longest such path. *)
 
 let tarjan g =
   let index = Hashtbl.create 64 in

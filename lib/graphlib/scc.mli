@@ -5,9 +5,8 @@
     component. *)
 
 val tarjan : 'e Digraph.t -> int list list
-(** SCCs in reverse topological order (a component appears before any
-    component it has edges into... specifically, Tarjan emission order:
-    every edge leaving a component goes to an earlier-emitted component).
+(** SCCs in Tarjan's emission order, which is reverse topological: every
+    edge leaving a component goes to a component emitted before it.
     Each component's nodes are sorted ascending. *)
 
 val nontrivial : 'e Digraph.t -> int list list
@@ -15,8 +14,8 @@ val nontrivial : 'e Digraph.t -> int list list
     with a self-edge. *)
 
 val condensation : 'e Digraph.t -> int array * unit Digraph.t
-(** [comp_of, dag]: [comp_of] maps a node position in [nodes g]... rather,
-    returns an array indexed by component id plus the component DAG. The
-    first array maps node id -> component id (dense ids from 0); nodes
-    absent from the graph map to -1. The DAG has one node per component
-    and a (deduplicated) edge per cross-component edge. *)
+(** [(comp_of, dag)]. [comp_of] is indexed by node id and holds the id
+    of the node's component: dense ids from 0, in {!tarjan} order; ids
+    absent from the graph map to -1. [dag] has one node per component
+    and one (deduplicated) edge per pair of components joined by an
+    edge. *)

@@ -64,15 +64,21 @@ let try_ii ~obs ~cluster_of ~budget ~machine ~ii ddg effort =
         in
         let unscheduled = Hashtbl.create 64 in
         List.iter (fun id -> Hashtbl.replace unscheduled id ()) ids;
+        (* [ids] ascend and the sort is stable, so ties stay in id order. *)
+        let order = Array.of_list ids in
+        Array.stable_sort
+          (fun a b -> Int.compare (Hashtbl.find h b) (Hashtbl.find h a))
+          order;
+        let pos = Hashtbl.create 64 in
+        Array.iteri (fun i id -> Hashtbl.replace pos id i) order;
+        (* Every id before [cursor] is scheduled. *)
+        let cursor = ref 0 in
+        (* Must keep Rau's order, height desc then id asc: it decides every placement. *)
         let pick () =
-          Hashtbl.fold
-            (fun id () best ->
-              match best with
-              | None -> Some id
-              | Some b ->
-                  let hb = Hashtbl.find h b and hid = Hashtbl.find h id in
-                  if hid > hb || (hid = hb && id < b) then Some id else best)
-            unscheduled None
+          while !cursor < Array.length order && not (Hashtbl.mem unscheduled order.(!cursor)) do
+            incr cursor
+          done;
+          if !cursor < Array.length order then Some order.(!cursor) else None
         in
         let unschedule ~by ~cycle ~reason id =
           incr effort.evicted;
@@ -80,7 +86,8 @@ let try_ii ~obs ~cluster_of ~budget ~machine ~ii ddg effort =
             Obs.Trace.emit obs (Obs.Events.Sched_evict { op = id; by; cycle; reason });
           Restab.release_op mrt ~op:id;
           Hashtbl.remove time id;
-          Hashtbl.replace unscheduled id ()
+          Hashtbl.replace unscheduled id ();
+          cursor := min !cursor (Hashtbl.find pos id)
         in
         let budget = ref budget in
         let failure = ref None in

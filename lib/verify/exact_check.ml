@@ -64,11 +64,7 @@ let check ~machine c =
            (Printf.sprintf "optimal claim with II %d above its own lower bound %d"
               c.claimed_ii c.lower));
     let oddg = Ddg.Graph.of_loop ~latency:machine.Mach.Machine.latency c.original in
-    let static =
-      max
-        (Ddg.Minii.res_mii ~width:(Mach.Machine.width machine) (Ddg.Graph.size oddg))
-        (Ddg.Minii.rec_mii oddg)
-    in
+    let static = Ddg.Minii.min_ii ~width:(Mach.Machine.width machine) oddg in
     if c.claimed_ii < static then
       add
         (err ~code:"EX006"

@@ -248,5 +248,122 @@ let minii_tests =
         && mii <= Ddg.Minii.upper_bound ddg);
   ]
 
+(* Reference RecMII: binary search over [1, upper_bound] with a
+   positive-cycle test on the whole graph under weight
+   [latency - II*distance]. *)
+let rec_mii_reference ddg =
+  let feasible ii =
+    not
+      (Graphlib.Cycles.has_positive_cycle
+         ~weight:(fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+           Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label))
+         (Ddg.Graph.graph ddg))
+  in
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if feasible mid then search lo mid else search (mid + 1) hi
+  in
+  search 1 (Ddg.Minii.upper_bound ddg)
+
+let check_against_reference name ddg =
+  check Alcotest.int name (rec_mii_reference ddg) (Ddg.Minii.rec_mii ddg)
+
+let nontrivial_sccs ddg = List.length (Graphlib.Scc.nontrivial (Ddg.Graph.graph ddg))
+
+(* x = x*a + y (float mul 2 + float add 2: RecMII 4) and s = s + z
+   (float add 2: RecMII 2), emitted in either order. *)
+let two_recurrences ~chain_first =
+  let b = Ir.Builder.create () in
+  let chain () =
+    let x = Ir.Builder.fresh ~name:"x" b f in
+    let a = Ir.Builder.load b f (Ir.Addr.scalar "a") in
+    let y = Ir.Builder.load b f (Ir.Addr.element "y") in
+    let t = Ir.Builder.binop b Mach.Opcode.Mul f x a in
+    Ir.Builder.define b Mach.Opcode.Add f ~into:x [ t; y ];
+    x
+  in
+  let reduction () =
+    let s = Ir.Builder.fresh ~name:"s" b f in
+    let z = Ir.Builder.load b f (Ir.Addr.element "z") in
+    Ir.Builder.define b Mach.Opcode.Add f ~into:s [ s; z ];
+    s
+  in
+  let live_out =
+    if chain_first then
+      let x = chain () in
+      [ x; reduction () ]
+    else
+      let s = reduction () in
+      [ chain (); s ]
+  in
+  Ir.Builder.loop b ~name:"two-rec" ~live_out ()
+
+let oracle_tests =
+  [
+    case "two-disjoint-recurrences-take-the-max" (fun () ->
+        List.iter
+          (fun chain_first ->
+            let ddg = Ddg.Graph.of_loop (two_recurrences ~chain_first) in
+            check Alcotest.int "two SCCs" 2 (nontrivial_sccs ddg);
+            check Alcotest.int "max" 4 (Ddg.Minii.rec_mii ddg);
+            check_against_reference "reference" ddg)
+          [ true; false ]);
+    case "self-edge-only-scc" (fun () ->
+        (* p = p * y with int mul latency 5: one node, one self-edge *)
+        let b = Ir.Builder.create () in
+        let p = Ir.Builder.fresh ~name:"p" b i in
+        let y = Ir.Builder.load b i (Ir.Addr.element "y") in
+        Ir.Builder.define b Mach.Opcode.Mul i ~into:p [ p; y ];
+        let ddg = Ddg.Graph.of_loop (Ir.Builder.loop b ~name:"selfmul" ~live_out:[ p ] ()) in
+        (match Graphlib.Scc.nontrivial (Ddg.Graph.graph ddg) with
+        | [ [ _ ] ] -> ()
+        | _ -> Alcotest.fail "expected a single one-node SCC");
+        check Alcotest.int "5" 5 (Ddg.Minii.rec_mii ddg);
+        check_against_reference "reference" ddg);
+    case "acyclic-body-with-large-upper-bound-is-1" (fun () ->
+        (* a chain of twelve int divides (latency 12 each), no recurrence *)
+        let b = Ir.Builder.create () in
+        let d = Ir.Builder.load b i (Ir.Addr.scalar "d") in
+        let x = Ir.Builder.load b i (Ir.Addr.element "x") in
+        let q = ref x in
+        for _ = 1 to 12 do
+          q := Ir.Builder.binop b Mach.Opcode.Div i !q d
+        done;
+        Ir.Builder.store b i (Ir.Addr.element "y") !q;
+        let ddg = Ddg.Graph.of_loop (Ir.Builder.loop b ~name:"divchain" ()) in
+        check Alcotest.int "acyclic" 0 (nontrivial_sccs ddg);
+        check Alcotest.bool "large upper bound" true (Ddg.Minii.upper_bound ddg > 144);
+        check Alcotest.int "1" 1 (Ddg.Minii.rec_mii ddg);
+        check_against_reference "reference" ddg);
+    qcheck ~count:60 "rec-mii-matches-reference-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor ->
+            let ddg = Ddg.Graph.of_loop (fst (Ir.Unroll.loop ~factor loop)) in
+            Ddg.Minii.rec_mii ddg = rec_mii_reference ddg)
+          [ 1; 4 ]);
+    slow_case "rec-mii-matches-reference-on-suite" (fun () ->
+        List.iter
+          (fun loop ->
+            let name = Ir.Loop.name loop in
+            check_against_reference name (Ddg.Graph.of_loop loop);
+            List.iter
+              (fun (m : Mach.Machine.t) ->
+                match Partition.Driver.pipeline ~machine:m loop with
+                | Error e -> Alcotest.fail (name ^ ": " ^ e.Verify.Stage_error.message)
+                | Ok r ->
+                    check_against_reference (name ^ " rewritten")
+                      (Ddg.Graph.of_loop ~latency:m.latency r.Partition.Driver.rewritten))
+              [ m2x8e; m8x2c ])
+          (Workload.Suite.loops ()));
+  ]
+
 let suite =
-  [ ("ddg.memdep", memdep_tests); ("ddg.build", build_tests); ("ddg.minii", minii_tests) ]
+  [
+    ("ddg.memdep", memdep_tests);
+    ("ddg.build", build_tests);
+    ("ddg.minii", minii_tests);
+    ("ddg.minii-oracle", oracle_tests);
+  ]

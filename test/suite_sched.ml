@@ -207,6 +207,31 @@ let modulo_tests =
         | Some o ->
             check Alcotest.int "ii = mii" o.Sched.Modulo.mii o.Sched.Modulo.ii;
             check Alcotest.int "mii=2" 2 o.Sched.Modulo.mii);
+    case "budget-escalations-spend-the-budget" (fun () ->
+        (* An II is abandoned for "budget" only once its placement budget
+           is spent, so an evicted op is always picked again. A tight
+           budget on a narrow machine forces evictions and abandoned IIs. *)
+        let machine = Mach.Machine.ideal ~width:2 () in
+        let evictions = ref 0 and exhausted = ref 0 in
+        List.iter
+          (fun loop ->
+            let obs = Obs.Trace.make ~clock:(Obs.Clock.fake ()) () in
+            match Sched.Modulo.ideal ~obs ~budget_ratio:2 ~machine (Ddg.Graph.of_loop loop) with
+            | None -> Alcotest.failf "%s: no schedule" (Ir.Loop.name loop)
+            | Some o ->
+                let budget_causes =
+                  List.filter
+                    (function
+                      | Obs.Events.Ii_escalate { cause = "budget"; _ } -> true | _ -> false)
+                    (Obs.Trace.events obs)
+                in
+                check Alcotest.int (Ir.Loop.name loop) o.Sched.Modulo.budget_exhausted
+                  (List.length budget_causes);
+                evictions := !evictions + o.Sched.Modulo.evictions;
+                exhausted := !exhausted + o.Sched.Modulo.budget_exhausted)
+          (sample_loops ());
+        check Alcotest.bool "evictions happened" true (!evictions > 0);
+        check Alcotest.bool "budgets ran out" true (!exhausted > 0));
     case "kernel-valid-on-samples" (fun () ->
         List.iter
           (fun loop ->
