@@ -2,7 +2,8 @@
 
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
-        metrics-check logs-check exact exact-baseline exact-perfdiff perfbench
+        metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
+        trace-digest
 
 all: build
 
@@ -41,6 +42,13 @@ analyze:
 # produced verified code or failed with a clean structured error.
 stress:
 	dune exec bin/rbp.exe -- stress --seed 1995 --trials 200 -j $(J)
+
+# Decision digest: MD5 of the stress sweep's JSONL trace with its
+# clock fields removed, next to the MD5 of its stdout. Run it on a
+# change and on its parent; a change that leaves every scheduling and
+# partitioning decision alone prints the same two lines.
+trace-digest: build
+	sh tools/trace_digest.sh
 
 bench:
 	dune exec bench/main.exe -- -j $(J)

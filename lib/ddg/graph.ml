@@ -23,6 +23,9 @@ let add_dep g ~src ~dst dep = Graphlib.Digraph.add_edge g ~src ~dst dep
 let build_register_deps ~latency ~carried g ops =
   let arr = Array.of_list ops in
   let n = Array.length arr in
+  (* [Ir.Op.defs] allocates; the pair loop below reads each op's defs
+     O(n) times. *)
+  let defs = Array.map Ir.Op.defs arr in
   (* Register -> ascending positions of the ops defining it (an op
      defines at most one register). *)
   let defs_at = Ir.Vreg.Tbl.create 64 in
@@ -30,7 +33,7 @@ let build_register_deps ~latency ~carried g ops =
   for i = n - 1 downto 0 do
     List.iter
       (fun r -> Ir.Vreg.Tbl.replace defs_at r (i :: positions_defining r))
-      (Ir.Op.defs arr.(i))
+      defs.(i)
   done;
   (* Same-iteration edges. *)
   for p = 0 to n - 1 do
@@ -48,7 +51,7 @@ let build_register_deps ~latency ~carried g ops =
               add_dep g ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
                 (Dep.make ~kind:Dep.Flow ~latency:(Ir.Op.latency latency dp) ~distance:0)
           end)
-        (Ir.Op.defs dp);
+        defs.(p);
       (* anti: p uses r, q defines r — but only when the use reads a
          same-iteration value. A use with no def before it reads the
          previous iteration's instance, which modulo variable expansion
@@ -63,14 +66,14 @@ let build_register_deps ~latency ~carried g ops =
           then
             add_dep g ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
               (Dep.make ~kind:Dep.Anti ~latency:0 ~distance:0))
-        (Ir.Op.defs dq);
+        defs.(q);
       (* output: both define r *)
       List.iter
         (fun r ->
-          if List.exists (Ir.Vreg.equal r) (Ir.Op.defs dp) then
+          if List.exists (Ir.Vreg.equal r) defs.(p) then
             add_dep g ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
               (Dep.make ~kind:Dep.Output ~latency:1 ~distance:0))
-        (Ir.Op.defs dq)
+        defs.(q)
     done
   done;
   if carried then

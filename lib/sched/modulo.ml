@@ -8,162 +8,111 @@ type outcome = {
   budget_exhausted : int;
 }
 
-(* Height-based priority for a given II: H(v) = max over out-edges of
-   H(dst) + latency - II*distance (at least 0). Converges iff the
-   II-adjusted graph has no positive cycle, i.e. II >= RecMII. *)
-let heights ddg ~ii =
-  let g = Ddg.Graph.graph ddg in
-  let n = Graphlib.Digraph.node_count g in
-  let h = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace h id 0) (Graphlib.Digraph.nodes g);
-  let relax () =
-    let changed = ref false in
-    Graphlib.Digraph.iter_edges
-      (fun e ->
-        let w = Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label) in
-        let cand = Hashtbl.find h e.dst + w in
-        if cand > Hashtbl.find h e.src then begin
-          Hashtbl.replace h e.src cand;
-          changed := true
-        end)
-      g;
-    !changed
-  in
-  let rec run i = if i > n + 1 then None else if relax () then run (i + 1) else Some h in
-  run 0
-
-let self_edges_feasible ddg ~ii =
-  List.for_all
-    (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
-      e.src <> e.dst || Ddg.Dep.latency e.label <= ii * Ddg.Dep.distance e.label)
-    (Graphlib.Digraph.edges (Ddg.Graph.graph ddg))
-
 type effort = {
   tried : int ref; (* placement steps, i.e. budget spent *)
   evicted : int ref;
   exhausted : int ref; (* IIs abandoned because the budget ran out *)
 }
 
-(* One attempt at the given II. Returns the op->cycle map on success,
-   or the cause the II was abandoned — the vocabulary of
+(* One attempt at the given II over the dense view [v]: nodes, not op
+   ids, everywhere, including the MRT's holders (ascending node is
+   ascending id, so victim order is unchanged). [request i] is node
+   [i]'s resource request. Returns the node->cycle array on success, or
+   the cause the II was abandoned — the vocabulary of
    [Obs.Events.Ii_escalate]: "rec_mii" (heights diverge), "self_edge",
    "resource" (a request no cycle of the MRT can hold), "budget". *)
-let try_ii ~obs ~cluster_of ~budget ~machine ~ii ddg effort =
-  match heights ddg ~ii with
+let try_ii ~obs ~request ~budget ~machine ~ii (v : Ddg_view.t) effort =
+  match Ddg_view.heights v ~ii with
   | None -> Error "rec_mii"
   | Some h ->
-      if not (self_edges_feasible ddg ~ii) then Error "self_edge"
+      if not (Ddg_view.self_edges_feasible v ~ii) then Error "self_edge"
       else begin
-        let g = Ddg.Graph.graph ddg in
-        let ids = Graphlib.Digraph.nodes g in
-        let time : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let last_time = Hashtbl.create 64 in
+        let n = Ddg_view.size v in
+        (* [min_int]: unscheduled (time) / never placed at this II (last_time) *)
+        let time = Array.make n min_int in
+        let last_time = Array.make n min_int in
         let mrt = Restab.create_modulo machine ~ii in
-        let request id =
-          Restab.request_for machine ~cluster:(cluster_of id) (Ddg.Graph.op ddg id)
-        in
-        let unscheduled = Hashtbl.create 64 in
-        List.iter (fun id -> Hashtbl.replace unscheduled id ()) ids;
-        (* [ids] ascend and the sort is stable, so ties stay in id order. *)
-        let order = Array.of_list ids in
-        Array.stable_sort
-          (fun a b -> Int.compare (Hashtbl.find h b) (Hashtbl.find h a))
-          order;
-        let pos = Hashtbl.create 64 in
-        Array.iteri (fun i id -> Hashtbl.replace pos id i) order;
-        (* Every id before [cursor] is scheduled. *)
+        (* Nodes ascend and the sort is stable, so ties stay in id order. *)
+        let order = Array.init n Fun.id in
+        Array.stable_sort (fun a b -> Int.compare h.(b) h.(a)) order;
+        let pos = Array.make n 0 in
+        Array.iteri (fun i x -> pos.(x) <- i) order;
+        (* Every node before [cursor] is scheduled. *)
         let cursor = ref 0 in
         (* Must keep Rau's order, height desc then id asc: it decides every placement. *)
         let pick () =
-          while !cursor < Array.length order && not (Hashtbl.mem unscheduled order.(!cursor)) do
+          while !cursor < n && time.(order.(!cursor)) <> min_int do
             incr cursor
           done;
-          if !cursor < Array.length order then Some order.(!cursor) else None
+          if !cursor < n then order.(!cursor) else -1
         in
-        let unschedule ~by ~cycle ~reason id =
+        let unschedule ~by ~cycle ~reason x =
           incr effort.evicted;
           if obs <> None then
-            Obs.Trace.emit obs (Obs.Events.Sched_evict { op = id; by; cycle; reason });
-          Restab.release_op mrt ~op:id;
-          Hashtbl.remove time id;
-          Hashtbl.replace unscheduled id ();
-          cursor := min !cursor (Hashtbl.find pos id)
+            Obs.Trace.emit obs
+              (Obs.Events.Sched_evict { op = v.ids.(x); by = v.ids.(by); cycle; reason });
+          Restab.release_op mrt ~op:x;
+          time.(x) <- min_int;
+          cursor := min !cursor pos.(x)
         in
         let budget = ref budget in
         let failure = ref None in
         let running = ref true in
         while !running do
-          match pick () with
-          | None -> running := false
-          | Some id ->
-              if !budget <= 0 then begin
-                incr effort.exhausted;
-                failure := Some "budget";
-                running := false
-              end
-              else begin
-                decr budget;
-                incr effort.tried;
-                Obs.Trace.incr obs Obs.Counter.Sched_placements 1;
-                let estart =
-                  List.fold_left
-                    (fun acc (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
-                      match Hashtbl.find_opt time e.src with
-                      | None -> acc
-                      | Some tp ->
-                          max acc
-                            (tp + Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label)))
-                    0
-                    (Graphlib.Digraph.preds g id)
-                in
-                let start =
-                  match Hashtbl.find_opt last_time id with
-                  | None -> estart
-                  | Some prev -> max estart (prev + 1)
-                in
-                let req = request id in
-                if not (Restab.satisfiable mrt req) then begin
-                  failure := Some "resource";
-                  running := false
+          let x = pick () in
+          if x < 0 then running := false
+          else if !budget <= 0 then begin
+            incr effort.exhausted;
+            failure := Some "budget";
+            running := false
+          end
+          else begin
+            decr budget;
+            incr effort.tried;
+            Obs.Trace.incr obs Obs.Counter.Sched_placements 1;
+            let estart = ref 0 in
+            for k = v.pred_off.(x) to v.pred_off.(x + 1) - 1 do
+              let tp = time.(v.pred_node.(k)) in
+              if tp <> min_int then
+                estart := max !estart (tp + v.pred_lat.(k) - (ii * v.pred_dist.(k)))
+            done;
+            let start =
+              if last_time.(x) = min_int then !estart else max !estart (last_time.(x) + 1)
+            in
+            let req = request x in
+            if not (Restab.satisfiable mrt req) then begin
+              failure := Some "resource";
+              running := false
+            end
+            else begin
+              let rec first_fit k =
+                if k >= ii then start
+                else if Restab.fits mrt ~cycle:(start + k) req then start + k
+                else first_fit (k + 1)
+              in
+              let t = first_fit 0 in
+              if not (Restab.fits mrt ~cycle:t req) then
+                List.iter
+                  (unschedule ~by:x ~cycle:t ~reason:"conflict")
+                  (Restab.conflicting_ops mrt ~cycle:t req);
+              Restab.reserve mrt ~cycle:t ~op:x req;
+              time.(x) <- t;
+              last_time.(x) <- t;
+              (* Evict scheduled successors whose dependence from us is
+                 now violated (predecessor constraints hold because
+                 t >= estart). *)
+              for k = v.succ_off.(x) to v.succ_off.(x + 1) - 1 do
+                let s = v.succ_node.(k) in
+                if s <> x && time.(s) <> min_int then begin
+                  let need = t + v.succ_lat.(k) - (ii * v.succ_dist.(k)) in
+                  if time.(s) < need then
+                    unschedule ~by:x ~cycle:time.(s) ~reason:"dependence" s
                 end
-                else begin
-                  let rec first_fit k =
-                    if k >= ii then None
-                    else if Restab.fits mrt ~cycle:(start + k) req then Some (start + k)
-                    else first_fit (k + 1)
-                  in
-                  let t = match first_fit 0 with Some t -> t | None -> start in
-                  if not (Restab.fits mrt ~cycle:t req) then
-                    List.iter
-                      (unschedule ~by:id ~cycle:t ~reason:"conflict")
-                      (Restab.conflicting_ops mrt ~cycle:t req);
-                  Restab.reserve mrt ~cycle:t ~op:id req;
-                  Hashtbl.replace time id t;
-                  Hashtbl.replace last_time id t;
-                  Hashtbl.remove unscheduled id;
-                  (* Evict scheduled successors whose dependence from us is
-                     now violated (predecessor constraints hold because
-                     t >= estart). *)
-                  List.iter
-                    (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
-                      if e.dst <> id then
-                        match Hashtbl.find_opt time e.dst with
-                        | None -> ()
-                        | Some ts ->
-                            let need =
-                              t + Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label)
-                            in
-                            if ts < need then
-                              unschedule ~by:id ~cycle:ts ~reason:"dependence" e.dst)
-                    (Graphlib.Digraph.succs g id)
-                end
-              end
+              done
+            end
+          end
         done;
-        match !failure with
-        | Some cause -> Error cause
-        | None ->
-            if Hashtbl.length unscheduled = 0 then Ok time
-            else Error "budget" (* unreachable: pick () returned None *)
+        match !failure with Some cause -> Error cause | None -> Ok time
       end
 
 let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
@@ -185,6 +134,19 @@ let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
   if mii < 1 then invalid_arg "Modulo.schedule: mii must be >= 1";
   let max_ii = match max_ii with Some x -> x | None -> max mii (Ddg.Minii.upper_bound ddg) in
   let n = Ddg.Graph.size ddg in
+  let v = Ddg_view.of_ddg ddg in
+  (* [cluster_of] is fixed for the call, so each node's request is too;
+     computed at the node's first placement. *)
+  let requests = Array.make (Ddg_view.size v) None in
+  let request x =
+    match requests.(x) with
+    | Some r -> r
+    | None ->
+        let id = v.ids.(x) in
+        let r = Restab.request_for m ~cluster:(cluster_of id) (Ddg.Graph.op ddg id) in
+        requests.(x) <- Some r;
+        r
+  in
   let effort = { tried = ref 0; evicted = ref 0; exhausted = ref 0 } in
   Obs.Trace.span obs "modulo.schedule"
     ~attrs:[ ("mii", string_of_int mii); ("ops", string_of_int n) ]
@@ -196,17 +158,15 @@ let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
       incr iis_tried;
       let result =
         Obs.Trace.span obs "modulo.try_ii" ~attrs:[ ("ii", string_of_int ii) ] (fun () ->
-            try_ii ~obs ~cluster_of ~budget:(budget_ratio * n) ~machine:m ~ii ddg effort)
+            try_ii ~obs ~request ~budget:(budget_ratio * n) ~machine:m ~ii v effort)
       in
       match result with
       | Ok time ->
           Obs.Trace.add_attr obs "ii" (string_of_int ii);
           let placements =
-            Hashtbl.fold
-              (fun id t acc ->
-                { Schedule.op = Ddg.Graph.op ddg id; cycle = t; cluster = cluster_of id }
-                :: acc)
-              time []
+            List.init (Ddg_view.size v) (fun x ->
+                let id = v.ids.(x) in
+                { Schedule.op = Ddg.Graph.op ddg id; cycle = time.(x); cluster = cluster_of id })
           in
           Some
             {

@@ -2,14 +2,26 @@
     software pipeliner.
 
     For a candidate II (starting at MinII), operations are scheduled in
-    height-priority order. Each op gets the first legal slot in
-    [estart, estart + II - 1] where [estart] honours scheduled
-    predecessors; when no slot has free resources the op is force-placed
-    and conflicting ops (resource holders, plus any successor whose
-    dependence became violated) are evicted and rescheduled. A budget of
+    height-priority order (height descending, op id ascending). Each op
+    gets the first slot with free resources in [start, start + II - 1],
+    where [estart] is the earliest cycle its scheduled predecessors
+    allow and [start] is
+    [estart] on the op's first placement at this II and
+    [max estart (last + 1)] when it is re-placed after an eviction
+    ([last] being the cycle it last held), so a re-placed op never
+    returns to the slot it was evicted from. When no slot in the window
+    has room the op is force-placed at [start] and conflicting ops
+    (resource holders, plus any successor whose dependence became
+    violated) are evicted and rescheduled. A budget of
     [budget_ratio × n_ops] placements bounds the effort per II; on
     exhaustion II is bumped and everything restarts, exactly as Rau
-    specifies. *)
+    specifies.
+
+    The scheduler works over a {!Ddg_view} built once per call (heights,
+    predecessor and successor rows as int arrays) and keeps its
+    per-II state — cycle (unset while unscheduled), last cycle,
+    priority order and position — in arrays indexed by the view's
+    nodes; {!Restab} is its only reservation table. *)
 
 type outcome = {
   kernel : Kernel.t;

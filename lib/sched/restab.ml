@@ -3,121 +3,174 @@ type request =
   | Fu_typed of int * Mach.Machine.fu_class list
   | Copy_to of int
 
-type klass = KFu of int * Mach.Machine.fu_class | KPort of int | KBus
-
+(* Resource classes are numbered densely per row: [KFu (c, fc)] is
+   [4c + fu_index fc], [KPort c] is [4C + c] and [KBus] is [5C], so one
+   row holds [5C + 1] classes. Slot [row * nk + class] indexes [count],
+   [held] and (modulo the row) [cap]. *)
 type t = {
-  machine : Mach.Machine.t;
-  ii : int option;
-  (* (class, normalized cycle) -> holding ops, most recent first *)
-  held : (klass * int, int list) Hashtbl.t;
-  (* op -> slots it holds *)
-  by_op : (int, (klass * int) list) Hashtbl.t;
+  modulus : int; (* ii, or 0 for flat tables *)
+  clusters : int;
+  nk : int; (* classes per row *)
+  cap : int array; (* class -> capacity *)
+  mutable rows : int; (* rows allocated; unallocated rows are empty *)
+  mutable count : int array; (* slot -> number of holders *)
+  mutable held : int list array; (* slot -> holding ops, most recent first *)
+  mutable by_op : int list array; (* op -> slots it holds *)
 }
 
-let create_flat machine = { machine; ii = None; held = Hashtbl.create 64; by_op = Hashtbl.create 64 }
+let fu_index : Mach.Machine.fu_class -> int = function
+  | General -> 0
+  | Integer -> 1
+  | Float_fu -> 2
+  | Memory -> 3
+
+let k_fu c fc = (4 * c) + fu_index fc
+let k_general c = 4 * c
+let k_port t c = (4 * t.clusters) + c
+let k_bus t = 5 * t.clusters
+
+let create machine ~modulus ~rows =
+  let m : Mach.Machine.t = machine in
+  let clusters = m.clusters in
+  let nk = (5 * clusters) + 1 in
+  let cap = Array.make nk 0 in
+  for c = 0 to clusters - 1 do
+    List.iter (fun (fc, n) -> cap.(k_fu c fc) <- n) m.fu_mix;
+    cap.((4 * clusters) + c) <- m.copy_ports
+  done;
+  cap.(5 * clusters) <- m.busses;
+  {
+    modulus;
+    clusters;
+    nk;
+    cap;
+    rows;
+    count = Array.make (rows * nk) 0;
+    held = Array.make (rows * nk) [];
+    by_op = Array.make 64 [];
+  }
+
+let create_flat machine = create machine ~modulus:0 ~rows:64
 
 let create_modulo machine ~ii =
   (* True internal invariant: the schedulers only create tables for candidate
      IIs in [mii, max_ii] with mii >= 1 (enforced in Modulo.schedule). *)
   if ii < 1 then invalid_arg "Restab.create_modulo: ii must be >= 1";
-  { machine; ii = Some ii; held = Hashtbl.create 64; by_op = Hashtbl.create 64 }
+  (* Rows grow on demand: [ii] can be far larger than any row used. *)
+  create machine ~modulus:ii ~rows:(min ii 64)
 
-let ii t = t.ii
+let ii t = if t.modulus = 0 then None else Some t.modulus
 
-let norm t cycle =
+let row t cycle =
   if cycle < 0 then invalid_arg "Restab: negative cycle";
-  match t.ii with None -> cycle | Some ii -> cycle mod ii
+  if t.modulus = 0 then cycle else cycle mod t.modulus
 
-let fu_capacity t fu_class =
-  match List.assoc_opt fu_class t.machine.Mach.Machine.fu_mix with
-  | Some n -> n
-  | None -> 0
+let check_cluster t c =
+  if c < 0 || c >= t.clusters then invalid_arg "Restab: bad cluster"
 
-let capacity t = function
-  | KFu (_, fc) -> fu_capacity t fc
-  | KPort _ -> t.machine.Mach.Machine.copy_ports
-  | KBus -> t.machine.Mach.Machine.busses
+let has_room t row k =
+  (if row < t.rows then t.count.((row * t.nk) + k) else 0) < t.cap.(k)
 
-let holders t klass cycle =
-  Option.value ~default:[] (Hashtbl.find_opt t.held (klass, cycle))
-
-let has_room t klass cycle = List.length (holders t klass cycle) < capacity t klass
+let holders t row k = if row < t.rows then t.held.((row * t.nk) + k) else []
 
 (* Acceptable unit classes in reservation preference order: specialized
    units first, General as the fallback, so General slots stay free for
-   operations that have no specialized home. *)
-let fu_alternatives cluster = function
-  | Fu _ -> [ KFu (cluster, Mach.Machine.General) ]
-  | Fu_typed (_, alts) ->
-      List.map (fun a -> KFu (cluster, a)) alts @ [ KFu (cluster, Mach.Machine.General) ]
-  | Copy_to _ -> invalid_arg "Restab.fu_alternatives: not an FU request"
+   operations that have no specialized home. The first acceptable class
+   with room at the row, or -1. *)
+let rec first_room t row c = function
+  | [] -> if has_room t row (k_general c) then k_general c else -1
+  | fc :: rest ->
+      let k = k_fu c fc in
+      if has_room t row k then k else first_room t row c rest
+
+let fu_room t row = function
+  | Fu c -> check_cluster t c; first_room t row c []
+  | Fu_typed (c, alts) -> check_cluster t c; first_room t row c alts
+  | Copy_to _ -> invalid_arg "Restab.fu_room: not an FU request"
 
 let fits t ~cycle req =
-  let cycle = norm t cycle in
+  let row = row t cycle in
   match req with
-  | Fu c | Fu_typed (c, _) -> List.exists (fun k -> has_room t k cycle) (fu_alternatives c req)
-  | Copy_to c -> has_room t (KPort c) cycle && has_room t KBus cycle
+  | Fu _ | Fu_typed _ -> fu_room t row req >= 0
+  | Copy_to c ->
+      check_cluster t c;
+      has_room t row (k_port t c) && has_room t row (k_bus t)
 
-let claim t klass cycle op =
-  Hashtbl.replace t.held (klass, cycle) (op :: holders t klass cycle);
-  let slots = Option.value ~default:[] (Hashtbl.find_opt t.by_op op) in
-  Hashtbl.replace t.by_op op ((klass, cycle) :: slots)
+let grow_rows t row =
+  let rows = max (row + 1) (2 * t.rows) in
+  let rows = if t.modulus = 0 then rows else min rows t.modulus in
+  let count = Array.make (rows * t.nk) 0 and held = Array.make (rows * t.nk) [] in
+  Array.blit t.count 0 count 0 (Array.length t.count);
+  Array.blit t.held 0 held 0 (Array.length t.held);
+  t.rows <- rows;
+  t.count <- count;
+  t.held <- held
+
+let claim t row k op =
+  if op < 0 then invalid_arg "Restab: negative op";
+  if row >= t.rows then grow_rows t row;
+  if op >= Array.length t.by_op then begin
+    let by_op = Array.make (max (op + 1) (2 * Array.length t.by_op)) [] in
+    Array.blit t.by_op 0 by_op 0 (Array.length t.by_op);
+    t.by_op <- by_op
+  end;
+  let s = (row * t.nk) + k in
+  t.held.(s) <- op :: t.held.(s);
+  t.count.(s) <- t.count.(s) + 1;
+  t.by_op.(op) <- s :: t.by_op.(op)
 
 let reserve t ~cycle ~op req =
-  if not (fits t ~cycle req) then invalid_arg "Restab.reserve: does not fit";
-  let cycle = norm t cycle in
+  let row = row t cycle in
   match req with
-  | Fu c | Fu_typed (c, _) ->
-      let klass =
-        List.find (fun k -> has_room t k cycle) (fu_alternatives c req)
-      in
-      claim t klass cycle op
+  | Fu _ | Fu_typed _ ->
+      let k = fu_room t row req in
+      if k < 0 then invalid_arg "Restab.reserve: does not fit";
+      claim t row k op
   | Copy_to c ->
-      claim t (KPort c) cycle op;
-      claim t KBus cycle op
+      if not (fits t ~cycle req) then invalid_arg "Restab.reserve: does not fit";
+      claim t row (k_port t c) op;
+      claim t row (k_bus t) op
 
 let release_op t ~op =
-  match Hashtbl.find_opt t.by_op op with
-  | None -> ()
-  | Some slots ->
-      List.iter
-        (fun (klass, cycle) ->
-          let rest = List.filter (fun o -> o <> op) (holders t klass cycle) in
-          Hashtbl.replace t.held (klass, cycle) rest)
-        slots;
-      Hashtbl.remove t.by_op op
+  if op >= 0 && op < Array.length t.by_op then begin
+    List.iter
+      (fun s ->
+        let rest = List.filter (fun o -> o <> op) t.held.(s) in
+        t.held.(s) <- rest;
+        t.count.(s) <- List.length rest)
+      t.by_op.(op);
+    t.by_op.(op) <- []
+  end
 
 (* Victims whose release makes the request fit: for FU requests, the most
-   recently placed holder among the acceptable classes; for copies, one
-   victim per saturated resource. *)
+   recently placed holder of the first acceptable class (in preference
+   order) that has one; for copies, one victim per saturated resource. *)
+let victim t row k =
+  match holders t row k with v :: _ when t.cap.(k) > 0 -> [ v ] | _ -> []
+
+let rec first_victim t row c = function
+  | [] -> victim t row (k_general c)
+  | fc :: rest -> (
+      match victim t row (k_fu c fc) with [] -> first_victim t row c rest | v -> v)
+
 let conflicting_ops t ~cycle req =
   if fits t ~cycle req then []
   else
-    let cycle = norm t cycle in
+    let row = row t cycle in
     match req with
-    | Fu c | Fu_typed (c, _) ->
-        let rec first_victim = function
-          | [] -> []
-          | klass :: rest -> (
-              match holders t klass cycle with
-              | victim :: _ when capacity t klass > 0 -> [ victim ]
-              | _ -> first_victim rest)
-        in
-        first_victim (fu_alternatives c req)
+    | Fu c -> first_victim t row c []
+    | Fu_typed (c, alts) -> first_victim t row c alts
     | Copy_to c ->
-        List.filter_map
-          (fun klass ->
-            if has_room t klass cycle then None
-            else match holders t klass cycle with v :: _ -> Some v | [] -> None)
-          [ KPort c; KBus ]
-        |> List.sort_uniq Int.compare
+        let saturated k = if has_room t row k then [] else victim t row k in
+        List.sort_uniq Int.compare (saturated (k_port t c) @ saturated (k_bus t))
 
 let satisfiable t req =
   match req with
-  | Fu c | Fu_typed (c, _) ->
-      List.exists (fun k -> capacity t k > 0) (fu_alternatives c req)
-  | Copy_to _ ->
-      t.machine.Mach.Machine.copy_ports > 0 && t.machine.Mach.Machine.busses > 0
+  | Fu c -> check_cluster t c; t.cap.(k_general c) > 0
+  | Fu_typed (c, alts) ->
+      check_cluster t c;
+      t.cap.(k_general c) > 0 || List.exists (fun fc -> t.cap.(k_fu c fc) > 0) alts
+  | Copy_to c -> check_cluster t c; t.cap.(k_port t c) > 0 && t.cap.(k_bus t) > 0
 
 let request_for machine ~cluster (op : Ir.Op.t) =
   (* Kept as an exception because every pipeline entry point validates bank

@@ -11,7 +11,23 @@
     preferred so General slots stay free); and, for the copy-unit model,
     per-cluster copy ports plus global busses. Reservations remember the
     holding op so the modulo scheduler can evict conflicting ops when it
-    force-places. *)
+    force-places.
+
+    Representation: resource classes are numbered densely — [4c + k]
+    for cluster [c]'s unit class [k] (General, Integer, Float, Memory),
+    [4C + c] for cluster [c]'s copy ports, [5C] for the busses, on a
+    machine of [C] clusters — and each table row (one cycle, or one
+    modulo slot) holds one holder count and one most-recent-first holder
+    list per class in flat arrays, next to a per-class capacity array.
+    Each op maps to the slots it holds. Rows are allocated on demand,
+    doubling as needed: flat tables have no horizon, and a modulo table
+    starts at [min ii 64] rows and never exceeds [ii], so a table for a
+    huge II grows only as far as the highest row reserved. A query on a row
+    never reserved answers as for an empty row.
+
+    Op ids must be non-negative, and requests must name a cluster of
+    the machine: [reserve] of a negative op and any query naming an
+    out-of-range cluster raise [Invalid_argument]. *)
 
 type t
 

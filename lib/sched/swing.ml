@@ -1,38 +1,8 @@
-(* Height priority under a candidate II — same fixpoint as the Rau
-   scheduler uses (kept local; it is 20 lines and the two schedulers are
-   deliberately independent). *)
-let heights ddg ~ii =
-  let g = Ddg.Graph.graph ddg in
-  let n = Graphlib.Digraph.node_count g in
-  let h = Hashtbl.create 64 in
-  List.iter (fun id -> Hashtbl.replace h id 0) (Graphlib.Digraph.nodes g);
-  let relax () =
-    let changed = ref false in
-    Graphlib.Digraph.iter_edges
-      (fun e ->
-        let w = Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label) in
-        let cand = Hashtbl.find h e.dst + w in
-        if cand > Hashtbl.find h e.src then begin
-          Hashtbl.replace h e.src cand;
-          changed := true
-        end)
-      g;
-    !changed
-  in
-  let rec run i = if i > n + 1 then None else if relax () then run (i + 1) else Some h in
-  run 0
-
-let self_edges_feasible ddg ~ii =
-  List.for_all
-    (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
-      e.src <> e.dst || Ddg.Dep.latency e.label <= ii * Ddg.Dep.distance e.label)
-    (Graphlib.Digraph.edges (Ddg.Graph.graph ddg))
-
 (* Connectivity-preserving ordering: seed with the highest node of the
    most critical recurrence, then repeatedly append the unordered
    neighbour (either direction) of the ordered set with the greatest
    height. Nodes on recurrences outrank straight-line nodes as seeds. *)
-let ordering ddg h =
+let ordering ddg view h =
   let g = Ddg.Graph.graph ddg in
   let cyclic = Hashtbl.create 16 in
   List.iter
@@ -41,7 +11,9 @@ let ordering ddg h =
   let nodes = Graphlib.Digraph.nodes g in
   let unordered = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace unordered v ()) nodes;
-  let priority v = ((if Hashtbl.mem cyclic v then 1 else 0), Hashtbl.find h v, -v) in
+  let priority v =
+    ((if Hashtbl.mem cyclic v then 1 else 0), h.(Ddg_view.index view v), -v)
+  in
   let best l = List.fold_left
       (fun acc v -> match acc with
         | None -> Some v
@@ -76,14 +48,14 @@ let ordering ddg h =
    was abandoned in Modulo's vocabulary — "rec_mii" (heights diverge),
    "self_edge", or "resource" (a request no MRT row holds, or no free
    slot in a node's window; Swing never evicts). *)
-let try_ii ~cluster_of ~machine ~ii ddg tried =
-  match heights ddg ~ii with
+let try_ii ~cluster_of ~machine ~ii ddg view tried =
+  match Ddg_view.heights view ~ii with
   | None -> Error "rec_mii"
   | Some h ->
-      if not (self_edges_feasible ddg ~ii) then Error "self_edge"
+      if not (Ddg_view.self_edges_feasible view ~ii) then Error "self_edge"
       else begin
         let g = Ddg.Graph.graph ddg in
-        let order = ordering ddg h in
+        let order = ordering ddg view h in
         (* Seeds are placed high enough that backward placement of their
            predecessors never needs a negative cycle: any latency chain is
            shorter than the sum of all latencies. *)
@@ -154,6 +126,7 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
   if mii < 1 then invalid_arg "Swing.schedule: mii must be >= 1";
   let max_ii = match max_ii with Some x -> x | None -> max mii (Ddg.Minii.upper_bound ddg) in
   let tried = ref 0 in
+  let view = Ddg_view.of_ddg ddg in
   Obs.Trace.span obs "swing.schedule" ~attrs:[ ("mii", string_of_int mii) ] @@ fun () ->
   let iis_tried = ref 0 in
   let rec attempt ii =
@@ -163,7 +136,7 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
       let before = !tried in
       let result =
         Obs.Trace.span obs "swing.try_ii" ~attrs:[ ("ii", string_of_int ii) ] (fun () ->
-            try_ii ~cluster_of ~machine:m ~ii ddg tried)
+            try_ii ~cluster_of ~machine:m ~ii ddg view tried)
       in
       Obs.Trace.incr obs Obs.Counter.Sched_placements (!tried - before);
       match result with

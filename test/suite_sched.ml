@@ -77,6 +77,144 @@ let slack_tests =
         check Alcotest.int "cp" (Ddg.Graph.critical_path_length ddg) (Sched.Slack.critical_path sl));
   ]
 
+(* Reference model of a reservation table: every reservation is a
+   (class, row, op) triple in one list, most recent first — the holders
+   of a resource are read off by filtering it. *)
+module Restab_model = struct
+  type klass = KFu of int * Mach.Machine.fu_class | KPort of int | KBus
+
+  type t = {
+    machine : Mach.Machine.t;
+    ii : int option;
+    mutable held : (klass * int * int) list;
+  }
+
+  let create machine ii = { machine; ii; held = [] }
+  let row t cycle = match t.ii with None -> cycle | Some ii -> cycle mod ii
+
+  let cap t = function
+    | KFu (_, fc) ->
+        Option.value ~default:0 (List.assoc_opt fc t.machine.Mach.Machine.fu_mix)
+    | KPort _ -> t.machine.Mach.Machine.copy_ports
+    | KBus -> t.machine.Mach.Machine.busses
+
+  let holders t k r =
+    List.filter_map (fun (k', r', op) -> if k' = k && r' = r then Some op else None) t.held
+
+  let room t k r = List.length (holders t k r) < cap t k
+
+  let alternatives = function
+    | Sched.Restab.Fu c -> [ KFu (c, Mach.Machine.General) ]
+    | Sched.Restab.Fu_typed (c, alts) ->
+        List.map (fun a -> KFu (c, a)) alts @ [ KFu (c, Mach.Machine.General) ]
+    | Sched.Restab.Copy_to c -> [ KPort c; KBus ]
+
+  let fits t ~cycle req =
+    let r = row t cycle in
+    match req with
+    | Sched.Restab.Copy_to _ -> List.for_all (fun k -> room t k r) (alternatives req)
+    | _ -> List.exists (fun k -> room t k r) (alternatives req)
+
+  let reserve t ~cycle ~op req =
+    if not (fits t ~cycle req) then invalid_arg "model: does not fit";
+    let r = row t cycle in
+    let claim k = t.held <- (k, r, op) :: t.held in
+    match req with
+    | Sched.Restab.Copy_to _ -> List.iter claim (alternatives req)
+    | _ -> claim (List.find (fun k -> room t k r) (alternatives req))
+
+  let release_op t ~op = t.held <- List.filter (fun (_, _, o) -> o <> op) t.held
+
+  let conflicting_ops t ~cycle req =
+    if fits t ~cycle req then []
+    else
+      let r = row t cycle in
+      match req with
+      | Sched.Restab.Copy_to _ ->
+          List.filter_map
+            (fun k ->
+              if room t k r then None
+              else match holders t k r with v :: _ -> Some v | [] -> None)
+            (alternatives req)
+          |> List.sort_uniq Int.compare
+      | _ -> (
+          match
+            List.find_opt (fun k -> cap t k > 0 && holders t k r <> []) (alternatives req)
+          with
+          | Some k -> [ List.hd (holders t k r) ]
+          | None -> [])
+
+  let satisfiable t req =
+    match req with
+    | Sched.Restab.Copy_to _ -> List.for_all (fun k -> cap t k > 0) (alternatives req)
+    | _ -> List.exists (fun k -> cap t k > 0) (alternatives req)
+end
+
+let model_machines =
+  Mach.Machine.
+    [
+      m4x4e;
+      ideal16;
+      make ~name:"2x4-ozer" ~fu_mix:ozer_cluster_mix ~clusters:2 ~fus_per_cluster:4
+        ~copy_model:Embedded ();
+      make ~name:"4x4-ozer-copy" ~fu_mix:ozer_cluster_mix ~clusters:4 ~fus_per_cluster:4
+        ~copy_model:Copy_unit ~busses:1 ();
+    ]
+  @ List.map
+      (fun busses ->
+        Mach.Machine.make ~clusters:4 ~fus_per_cluster:2 ~copy_model:Mach.Machine.Copy_unit
+          ~copy_ports:2 ~busses ())
+      [ 0; 1; 2 ]
+
+(* One random table and 80 random operations on it, derived from [seed];
+   true when the table and the model agree on every answer. *)
+let restab_agrees_with_model seed =
+  let rng = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let machine = pick model_machines in
+  let ii = pick [ None; Some 1; Some 2; Some 3; Some 5 ] in
+  let tab =
+    match ii with
+    | None -> Sched.Restab.create_flat machine
+    | Some ii -> Sched.Restab.create_modulo machine ~ii
+  in
+  let model = Restab_model.create machine ii in
+  let gen_req () =
+    let c = Random.State.int rng machine.Mach.Machine.clusters in
+    match Random.State.int rng 3 with
+    | 0 -> Sched.Restab.Fu c
+    | 1 ->
+        Sched.Restab.Fu_typed
+          ( c,
+            List.filter
+              (fun _ -> Random.State.bool rng)
+              Mach.Machine.[ Integer; Float_fu; Memory ] )
+    | _ -> Sched.Restab.Copy_to c
+  in
+  let outcome f = try Ok (f ()) with Invalid_argument _ -> Error () in
+  let agree = ref true in
+  for _ = 1 to 80 do
+    let cycle = Random.State.int rng 8 and op = Random.State.int rng 10 in
+    let req = gen_req () in
+    let same a b = if a <> b then agree := false in
+    match Random.State.int rng 5 with
+    | 0 | 1 ->
+        same
+          (outcome (fun () -> Sched.Restab.reserve tab ~cycle ~op req))
+          (outcome (fun () -> Restab_model.reserve model ~cycle ~op req))
+    | 2 ->
+        Sched.Restab.release_op tab ~op;
+        Restab_model.release_op model ~op
+    | 3 ->
+        same (Sched.Restab.fits tab ~cycle req) (Restab_model.fits model ~cycle req);
+        same (Sched.Restab.satisfiable tab req) (Restab_model.satisfiable model req)
+    | _ ->
+        same
+          (Sched.Restab.conflicting_ops tab ~cycle req)
+          (Restab_model.conflicting_ops model ~cycle req)
+  done;
+  !agree
+
 let restab_tests =
   [
     case "fu-capacity" (fun () ->
@@ -132,6 +270,7 @@ let restab_tests =
           (Sched.Restab.request_for m4x4e ~cluster:1 cop = Sched.Restab.Fu 1);
         check Alcotest.bool "copy-unit copy is port" true
           (Sched.Restab.request_for m4x4c ~cluster:1 cop = Sched.Restab.Copy_to 1));
+    qcheck ~count:300 "agrees-with-list-model" gen_loop_seed restab_agrees_with_model;
   ]
 
 let list_sched_tests =
@@ -284,6 +423,55 @@ let modulo_tests =
             = Ok ());
   ]
 
+(* Every Rau decision over a fixed slice of the experiment, folded into
+   one MD5: for the first 48 suite loops on each of the six paper
+   configurations, the ideal and clustered outcomes (II, effort
+   counters, every kernel placement) and the [sched.evict] chain the
+   pipeline emitted. The expected digest was computed before the
+   scheduler moved to dense arrays; any change in a placement, an
+   eviction or its order changes it. *)
+let decision_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let add_outcome tag (o : Sched.Modulo.outcome) =
+    Printf.bprintf buf "%s ii=%d tried=%d evict=%d iis=%d exh=%d\n" tag o.ii
+      o.placements_tried o.evictions o.iis_tried o.budget_exhausted;
+    List.iter
+      (fun (p : Sched.Schedule.placement) ->
+        Printf.bprintf buf " %d@%d/%d" (Ir.Op.id p.op) p.cycle p.cluster)
+      (Sched.Kernel.placements o.kernel);
+    Buffer.add_char buf '\n'
+  in
+  let evictions = ref 0 in
+  List.iter
+    (fun loop ->
+      List.iter
+        (fun (cfg : Core.Experiment.config) ->
+          Printf.bprintf buf "%s %s\n" (Ir.Loop.name loop) cfg.label;
+          let obs = Obs.Trace.make ~clock:(Obs.Clock.fake ()) () in
+          (match Partition.Driver.pipeline ~obs ~machine:cfg.machine loop with
+          | Ok r ->
+              add_outcome "ideal" r.ideal;
+              add_outcome "clustered" r.clustered
+          | Error e -> Printf.bprintf buf "error %s\n" (Verify.Stage_error.to_string e));
+          Obs.Trace.iter_events
+            (function
+              | Obs.Events.Sched_evict { op; by; cycle; reason } ->
+                  incr evictions;
+                  Printf.bprintf buf "evict %d %d %d %s\n" op by cycle reason
+              | _ -> ())
+            obs)
+        Core.Experiment.paper_configs)
+    (Workload.Suite.loops ~n:48 ());
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), !evictions)
+
+let decision_tests =
+  [
+    case "rau-decisions-pinned" (fun () ->
+        let digest, evictions = decision_digest () in
+        check Alcotest.bool "evictions exercised" true (evictions > 0);
+        check Alcotest.string "decision digest" "b837019990012cca4f9c2dbfe8380c55" digest);
+  ]
+
 (* The strongest scheduler test: executing the pipelined expansion must
    equal executing the loop sequentially. *)
 let expand_equiv loop trips =
@@ -349,5 +537,6 @@ let suite =
     ("sched.restab", restab_tests);
     ("sched.list", list_sched_tests);
     ("sched.modulo", modulo_tests);
+    ("sched.decisions", decision_tests);
     ("sched.expand", expand_tests);
   ]
