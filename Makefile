@@ -50,14 +50,15 @@ stress:
 trace-digest: build
 	sh tools/trace_digest.sh
 
+# The studies beyond the paper (ablation, schedulers, latency, ...); the
+# paper's own tables and figures come from `make report` / `make experiment`.
 bench:
-	dune exec bench/main.exe -- -j $(J)
+	dune exec bench/main.exe
 
-# Machine-readable bench telemetry only: writes BENCH_pipeline.json
-# (suite means, failure counts, engine jobs / cache hits / wall time)
-# without the human-readable tables.
+# Machine-readable full-suite telemetry: writes BENCH_pipeline.json
+# (suite means, failure counts, engine jobs / cache hits / wall time).
 bench-json:
-	dune exec bench/main.exe -- json -j $(J)
+	dune exec bin/rbp.exe -- report -f json -j $(J) -o BENCH_pipeline.json
 
 # Refresh the checked-in perf-gate baseline (deterministic: no engine
 # telemetry, so an unchanged pipeline regenerates it byte-identically).
@@ -70,7 +71,7 @@ bench-baseline:
 # The CI perf gate, runnable locally: reduced-suite telemetry compared
 # against the checked-in baseline with per-metric thresholds.
 perfdiff:
-	dune exec bench/main.exe -- quick-json BENCH_quick.json -j $(J)
+	dune exec bin/rbp.exe -- report -n 32 -f json -j $(J) -o BENCH_quick.json
 	dune exec bin/rbp.exe -- perfdiff bench/baseline/BENCH_quick.json BENCH_quick.json
 
 # The benchmark of record, one 20 s run per workload at seed 1: prints the
@@ -188,8 +189,10 @@ bombard: build
 quickstart:
 	dune exec examples/quickstart.exe
 
+# Tables 1-3 and the Figure 5-7 histograms as terminal tables, with the
+# failure list (full 211-loop suite).
 experiment:
-	dune exec bin/rbp.exe -- experiment -j $(J)
+	dune exec bin/rbp.exe -- report -f text -j $(J)
 
 doc:
 	dune build @doc

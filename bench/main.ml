@@ -1,108 +1,19 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6) on the synthetic 211-loop suite.
+(* Studies beyond the paper's evaluation, marked "(ours)": partitioner
+   ablation, whole-function partitioning, scheduler, copy-latency,
+   register, addressing, functional-unit and distribution comparisons.
+   The paper's own Tables 1-2 and Figures 5-7 come from `rbp report`.
 
    Usage:
-     bench/main.exe              -- everything
-     bench/main.exe table1       -- just Table 1     (likewise table2)
-     bench/main.exe fig5|fig6|fig7
-     bench/main.exe ablation     -- partitioner/weight ablation (ours)
-     bench/main.exe quick        -- tables on a reduced suite (CI),
-                                    plus BENCH_quick.json telemetry
-     bench/main.exe quick-json [PATH] -- just the reduced-suite telemetry
-                                    (the CI perf gate's input)
-     bench/main.exe json         -- just the BENCH_pipeline.json telemetry
-
-   Engine flags (usable with any command, stripped before dispatch):
-     -j N            -- shard suite sweeps over N domains (0 = one per
-                        core; default 1, the exact serial path)
-     --no-cache      -- disable the content-addressed result cache
-     --cache-dir DIR -- cache location (default _rbp_cache) *)
+     bench/main.exe              -- every study
+     bench/main.exe ablation     -- partitioner/weight ablation
+     bench/main.exe wholeprog|schedulers|latency|registers|lowered
+                    |specialized|distribute *)
 
 let section title =
   print_newline ();
   print_endline (String.make 72 '=');
   print_endline title;
   print_endline (String.make 72 '=')
-
-let suite_seed = 1995
-
-(* Engine knobs, set by the argv prefix below. [jobs = 1] is the exact
-   serial path; 0 means one domain per core. *)
-let jobs = ref 1
-let use_cache = ref true
-let cache_dir = ref Engine.Cache.default_dir
-let effective_jobs () = if !jobs <= 0 then Engine.Pool.default_jobs () else !jobs
-
-type sweep = {
-  sweep_runs : Core.Experiment.run list;
-  sweep_ipc : float;
-  sweep_hits : int;
-  sweep_wall : float;
-}
-
-let runs_cache : (int, sweep) Hashtbl.t = Hashtbl.create 4
-
-let sweep_for ?(n = Workload.Suite.size) () =
-  match Hashtbl.find_opt runs_cache n with
-  | Some r -> r
-  | None ->
-      let loops = Workload.Suite.loops ~seed:suite_seed ~n () in
-      let cache =
-        if !use_cache then Some (Engine.Cache.open_ ~dir:!cache_dir ()) else None
-      in
-      let t0 = Unix.gettimeofday () in
-      let runs = Core.Experiment.run_all ~jobs:!jobs ?cache ~loops () in
-      let wall = Unix.gettimeofday () -. t0 in
-      let ipc = Core.Experiment.ideal_ipc ~loops () in
-      let hits =
-        List.fold_left
-          (fun acc (r : Core.Experiment.run) -> acc + r.cache_hits)
-          0 runs
-      in
-      let sweep =
-        { sweep_runs = runs; sweep_ipc = ipc; sweep_hits = hits; sweep_wall = wall }
-      in
-      Hashtbl.replace runs_cache n sweep;
-      sweep
-
-let runs_for ?n () =
-  let s = sweep_for ?n () in
-  (s.sweep_runs, s.sweep_ipc)
-
-let find_run runs ~clusters ~copy_model =
-  List.find
-    (fun (r : Core.Experiment.run) ->
-      r.config.clusters = clusters && r.config.copy_model = copy_model)
-    runs
-
-let table1 ?n () =
-  let runs, ideal_ipc = runs_for ?n () in
-  section "Table 1: IPC of Clustered Software Pipelines";
-  Util.Table.print (Core.Report.table1 ~ideal_ipc runs);
-  Printf.printf "(paper: ideal 8.6; clustered 9.3/6.2, 8.4/7.5, 6.9/6.8)\n"
-
-let table2 ?n () =
-  let runs, _ = runs_for ?n () in
-  section "Table 2: Degradation Over Ideal Schedules - Normalized";
-  Util.Table.print (Core.Report.table2 runs);
-  Printf.printf "(paper: arith 111/150, 126/122, 162/133; harm 109/127, 119/115, 138/124)\n";
-  print_string "Scheduling failures:\n";
-  print_string (Core.Report.failures_summary runs)
-
-let figure ?n ~clusters ~number () =
-  let runs, _ = runs_for ?n () in
-  let e = find_run runs ~clusters ~copy_model:Mach.Machine.Embedded in
-  let c = find_run runs ~clusters ~copy_model:Mach.Machine.Copy_unit in
-  let title =
-    Printf.sprintf "Figure %d: Achieved II on %d Clusters with %d Units Each" number clusters
-      (16 / clusters)
-  in
-  section title;
-  Util.Table.print (Core.Report.figure_histogram e c ~title:"% of loops per degradation bucket");
-  print_string (Core.Report.ascii_histogram e c ~title:"");
-  Printf.printf "No degradation: embedded %.0f%%, copy-unit %.0f%% of loops\n"
-    (Core.Metrics.pct_no_degradation e.metrics)
-    (Core.Metrics.pct_no_degradation c.metrics)
 
 let ablation ?(n = 64) () =
   section "Ablation (ours): partitioner and weight-term comparison, 4x4 machine";
@@ -464,61 +375,14 @@ let distribute ?(n = 120) () =
     "(on a wide machine pieces over-pipeline and pressure grows; on a narrow one\n\
     \ distribution trades a little steady-state time for less pressure per piece)"
 
-(* Machine-readable telemetry: one rbp-bench/1 document per bench run —
-   the suite parameters and per-configuration aggregate metrics (the
-   numbers behind Tables 1-2, written by the same function as
-   `rbp report -f json`), plus the engine telemetry perfdiff notes but
-   never gates on. Per-layer timings live in perfbench. *)
-let bench_json ~path ?n () =
-  let loop_count = match n with Some n -> n | None -> Workload.Suite.size in
-  let sweep = sweep_for ~n:loop_count () in
-  let doc =
-    Core.Report.paper_tables_json
-      ~engine:
-        {
-          Core.Report.jobs = effective_jobs ();
-          cache_hits = sweep.sweep_hits;
-          wall_s = sweep.sweep_wall;
-        }
-      ~seed:suite_seed ~loops:loop_count ~ideal_ipc:sweep.sweep_ipc sweep.sweep_runs
-  in
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n" path
-
 let usage () =
   prerr_endline
-    "usage: main.exe [-j N] [--no-cache] [--cache-dir DIR] \
-     [table1|table2|fig5|fig6|fig7|ablation|wholeprog|schedulers\
-     |latency|registers|quick|quick-json [PATH]|json]";
+    "usage: main.exe \
+     [ablation|wholeprog|schedulers|latency|registers|lowered|specialized|distribute]";
   exit 2
 
 let () =
-  let rec strip acc = function
-    | "-j" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n -> jobs := n; strip acc rest
-        | None -> usage ())
-    | [ "-j" ] -> usage ()
-    | "--no-cache" :: rest ->
-        use_cache := false;
-        strip acc rest
-    | "--cache-dir" :: dir :: rest ->
-        cache_dir := dir;
-        strip acc rest
-    | [ "--cache-dir" ] -> usage ()
-    | a :: rest -> strip (a :: acc) rest
-    | [] -> List.rev acc
-  in
-  let args = strip [] (List.tl (Array.to_list Sys.argv)) in
-  match args with
-  | [ "table1" ] -> table1 ()
-  | [ "table2" ] -> table2 ()
-  | [ "fig5" ] -> figure ~clusters:2 ~number:5 ()
-  | [ "fig6" ] -> figure ~clusters:4 ~number:6 ()
-  | [ "fig7" ] -> figure ~clusters:8 ~number:7 ()
+  match List.tl (Array.to_list Sys.argv) with
   | [ "ablation" ] -> ablation ()
   | [ "wholeprog" ] -> wholeprog ()
   | [ "schedulers" ] -> schedulers ()
@@ -527,19 +391,7 @@ let () =
   | [ "lowered" ] -> lowered ()
   | [ "specialized" ] -> specialized ()
   | [ "distribute" ] -> distribute ()
-  | [ "quick" ] ->
-      table1 ~n:32 ();
-      table2 ~n:32 ();
-      bench_json ~path:"BENCH_quick.json" ~n:32 ()
-  | [ "quick-json" ] -> bench_json ~path:"BENCH_quick.json" ~n:32 ()
-  | [ "quick-json"; path ] -> bench_json ~path ~n:32 ()
-  | [ "json" ] -> bench_json ~path:"BENCH_pipeline.json" ()
   | [] ->
-      table1 ();
-      table2 ();
-      figure ~clusters:2 ~number:5 ();
-      figure ~clusters:4 ~number:6 ();
-      figure ~clusters:8 ~number:7 ();
       ablation ();
       wholeprog ();
       schedulers ();
@@ -547,6 +399,5 @@ let () =
       registers ();
       lowered ();
       specialized ();
-      distribute ();
-      bench_json ~path:"BENCH_pipeline.json" ()
+      distribute ()
   | _ -> usage ()

@@ -55,16 +55,38 @@ let dot_arg =
   let doc = "Emit Graphviz DOT instead of text." in
   Arg.(value & flag & info [ "dot" ] ~doc)
 
+(* The one place a file is read whole; the [Error] message names the
+   path (the system's open error already does, a read error does not). *)
+let read_file path =
+  match open_in path with
+  | exception Sys_error e -> Error e
+  | ic -> (
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+      try Ok (really_input_string ic (in_channel_length ic))
+      with Sys_error e -> Error (path ^ ": " ^ e))
+
+(* Every suite-sweeping subcommand sizes its sweep with this one
+   argument; a sweep of no loops has no means to report, so N < 1 is a
+   usage error. *)
+let suite_size_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a loop count of at least 1, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value
+    & opt positive Workload.Suite.size
+    & info [ "loops"; "n" ] ~docv:"N"
+        ~doc:"Sweep the first $(docv) suite loops (at least 1; default the whole suite).")
+
 let load_loop ~seed name =
-  if Sys.file_exists name then begin
-    let ic = open_in name in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Ir.Parse.loop_of_string text with
-    | Ok loop -> Ok loop
-    | Error e -> Error (Printf.sprintf "%s: %s" name e)
-  end
+  if Sys.file_exists name then
+    Result.bind (read_file name) (fun text ->
+        Result.map_error (Printf.sprintf "%s: %s" name) (Ir.Parse.loop_of_string text))
   else
     match Workload.Suite.by_name ~seed name with
     | Some loop -> Ok loop
@@ -102,9 +124,6 @@ let deterministic_arg =
 let real_clock : unit -> float = Unix.gettimeofday
 
 let clock_of ~deterministic = if deterministic then Obs.Clock.fake () else real_clock
-
-(* Per-shard clock for traced Engine-pooled sweeps. *)
-let real_job_clock _shard = real_clock
 
 (* ------------------------------------------------------------------ *)
 (* Engine arguments: one -j/--jobs and one cache triple shared by every
@@ -460,6 +479,11 @@ let gap_row_of_geometry (g : Exact.Gap.geometry) =
 
 let report_cmd =
   let run seed n format check out jobs cache_dir no_cache deterministic =
+    (* An unreadable document to check fails before the sweep, not after
+       it; the report's own output file is only written below. *)
+    Option.iter
+      (fun path -> if out <> Some path then ignore (or_die (read_file path)))
+      check;
     let loops = Workload.Suite.loops ~seed ~n () in
     let cache = cache_of ~no_cache ~cache_dir in
     let t0 = real_clock () in
@@ -482,14 +506,32 @@ let report_cmd =
       | `Md -> Core.Report.paper_tables_md ~gap:(Lazy.force gap) ~ideal_ipc runs
       | `Text ->
           let b = Buffer.create 1024 in
-          Buffer.add_string b (Util.Table.render (Core.Report.table1 ~ideal_ipc runs));
-          Buffer.add_char b '\n';
-          Buffer.add_string b (Util.Table.render (Core.Report.table2 runs));
-          Buffer.add_char b '\n';
+          let table t =
+            Buffer.add_string b (Util.Table.render t);
+            Buffer.add_char b '\n'
+          in
+          table (Core.Report.table1 ~ideal_ipc runs);
+          table (Core.Report.table2 runs);
+          (* Figures 5-7: one histogram per cluster count, embedded
+             against copy-unit. *)
+          List.iter
+            (fun clusters ->
+              let run copy_model =
+                List.find
+                  (fun (r : Core.Experiment.run) ->
+                    r.config.clusters = clusters && r.config.copy_model = copy_model)
+                  runs
+              in
+              table
+                (Core.Report.figure_histogram (run Mach.Machine.Embedded)
+                   (run Mach.Machine.Copy_unit)
+                   ~title:(Printf.sprintf "Degradation histogram, %d clusters" clusters)))
+            [ 2; 4; 8 ];
           Buffer.add_string b (Util.Table.render (Core.Report.table3 (Lazy.force gap)));
           Buffer.add_string b "failures:\n";
           Buffer.add_string b (Core.Report.failures_summary runs);
           Buffer.contents b
+      | `Csv -> Core.Report.to_csv runs
       | `Json ->
           (* The engine telemetry is the non-deterministic part; attach
              it only when the caller did not ask for byte-stable output. *)
@@ -509,9 +551,7 @@ let report_cmd =
     match check with
     | None -> ()
     | Some path -> (
-        let ic = open_in path in
-        let doc = really_input_string ic (in_channel_length ic) in
-        close_in ic;
+        let doc = or_die (read_file path) in
         match Core.Report.check_tables_in ~gap:(Lazy.force gap) ~ideal_ipc runs doc with
         | Ok () -> Printf.printf "%s: tables are up to date\n" path
         | Error missing ->
@@ -520,21 +560,19 @@ let report_cmd =
               path missing;
             exit 1)
   in
-  let n =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N" ~doc:"Number of suite loops to pipeline.")
-  in
   let format =
-    let fmt_conv = Arg.enum [ ("md", `Md); ("text", `Text); ("json", `Json) ] in
+    let fmt_conv =
+      Arg.enum [ ("md", `Md); ("text", `Text); ("csv", `Csv); ("json", `Json) ]
+    in
     Arg.(
       value & opt fmt_conv `Md
       & info [ "format"; "f" ] ~docv:"FMT"
           ~doc:
             "Output format: $(b,md) (the EXPERIMENTS.md Table 1/2 sections, \
-             byte-identical), $(b,text) (aligned terminal tables) or $(b,json) (the \
-             rbp-bench/1 aggregate schema, consumable by $(b,rbp perfdiff)).")
+             byte-identical), $(b,text) (aligned terminal tables, with the Figure 5-7 \
+             degradation histograms), $(b,csv) (one row per pipelined loop and \
+             configuration) or $(b,json) (the rbp-bench/1 aggregate schema, consumable \
+             by $(b,rbp perfdiff)).")
   in
   let check =
     Arg.(
@@ -554,11 +592,11 @@ let report_cmd =
        ~doc:
          "Run the paper's experiment suite and render Tables 1-3 as markdown (the exact \
           EXPERIMENTS.md sections, Table 3 being the greedy-vs-optimal gap study), \
-          terminal tables, or rbp-bench/1 JSON. With $(b,--check) also verify a \
-          document still contains the regenerated tables")
+          terminal tables with Figures 5-7, per-loop CSV, or rbp-bench/1 JSON. With \
+          $(b,--check) also verify a document still contains the regenerated tables")
     Term.(
-      const run $ seed_arg $ n $ format $ check $ out $ jobs_arg $ cache_dir_arg
-      $ no_cache_arg $ deterministic_arg)
+      const run $ seed_arg $ suite_size_arg $ format $ check $ out $ jobs_arg
+      $ cache_dir_arg $ no_cache_arg $ deterministic_arg)
 
 (* ------------------------------------------------------------------ *)
 (* exact                                                               *)
@@ -589,13 +627,6 @@ let exact_cmd =
             "In slice mode, also write the gap aggregates as an rbp-bench/1 document \
              with an $(b,exact) section (consumable by $(b,rbp perfdiff), gated in CI \
              against bench/baseline/BENCH_exact.json).")
-  in
-  let n_arg =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N"
-          ~doc:"Consider the first $(docv) suite loops when slicing.")
   in
   let print_status (s : Exact.Solve.t) =
     (match s.Exact.Solve.status with
@@ -754,7 +785,7 @@ let exact_cmd =
           report))")
     Term.(
       const run $ seed_arg $ opt_loop_arg $ clusters_arg $ model_arg $ budget_arg
-      $ deadline_ms_arg $ n_arg $ jobs_arg $ verbose_arg $ json_arg)
+      $ deadline_ms_arg $ suite_size_arg $ jobs_arg $ verbose_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* perfdiff                                                            *)
@@ -763,14 +794,11 @@ let perfdiff_cmd =
   let run old_path new_path ipc_rel_drop degradation_rise pct_drop p50_rise p95_rise
       p99_rise latency_floor_ms quiet =
     let read path =
-      match open_in path with
-      | exception Sys_error e ->
+      match read_file path with
+      | Ok s -> s
+      | Error e ->
           prerr_endline ("rbp: " ^ e);
           exit 2
-      | ic ->
-          let s = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          s
     in
     let parse path text =
       match Core.Perfdiff.parse text with
@@ -1004,54 +1032,6 @@ let alloc_cmd =
     Term.(const run $ seed_arg $ loop_arg $ clusters_arg $ model_arg $ regs)
 
 (* ------------------------------------------------------------------ *)
-(* experiment                                                          *)
-
-let experiment_cmd =
-  let run seed n jobs cache_dir no_cache trace_out =
-    let loops = Workload.Suite.loops ~seed ~n () in
-    with_trace trace_out @@ fun obs ->
-    let cache = cache_of ~no_cache ~cache_dir in
-    let runs =
-      Core.Experiment.run_all ?obs ~jobs ?cache ~job_clock:real_job_clock ~loops ()
-    in
-    let ipc = Core.Experiment.ideal_ipc ~loops () in
-    Util.Table.print (Core.Report.table1 ~ideal_ipc:ipc runs);
-    print_newline ();
-    Util.Table.print (Core.Report.table2 runs);
-    print_newline ();
-    List.iter
-      (fun clusters ->
-        let e =
-          List.find
-            (fun (r : Core.Experiment.run) ->
-              r.config.clusters = clusters && r.config.copy_model = Mach.Machine.Embedded)
-            runs
-        and c =
-          List.find
-            (fun (r : Core.Experiment.run) ->
-              r.config.clusters = clusters && r.config.copy_model = Mach.Machine.Copy_unit)
-            runs
-        in
-        Util.Table.print
-          (Core.Report.figure_histogram e c
-             ~title:(Printf.sprintf "Degradation histogram, %d clusters" clusters));
-        print_newline ())
-      [ 2; 4; 8 ];
-    print_string "failures:\n";
-    print_string (Core.Report.failures_summary runs)
-  in
-  let n =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N" ~doc:"Number of suite loops to pipeline.")
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce the paper's tables and figures")
-    Term.(
-      const run $ seed_arg $ n $ jobs_arg $ cache_dir_arg $ no_cache_arg $ trace_out_arg)
-
-(* ------------------------------------------------------------------ *)
 (* compare                                                             *)
 
 let compare_cmd =
@@ -1126,25 +1106,6 @@ let sim_cmd =
     (Cmd.info "sim"
        ~doc:"Cycle-accurately simulate the partitioned software pipeline of one loop")
     Term.(const run $ seed_arg $ loop_arg $ clusters_arg $ model_arg $ trips)
-
-(* ------------------------------------------------------------------ *)
-(* csv                                                                 *)
-
-let csv_cmd =
-  let run seed n =
-    let loops = Workload.Suite.loops ~seed ~n () in
-    let runs = Core.Experiment.run_all ~loops () in
-    print_string (Core.Report.to_csv runs)
-  in
-  let n =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N" ~doc:"Number of suite loops.")
-  in
-  Cmd.v
-    (Cmd.info "csv" ~doc:"Dump per-loop experiment results as CSV on stdout")
-    Term.(const run $ seed_arg $ n)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)
@@ -1286,13 +1247,6 @@ let lint_cmd =
   let strict =
     Arg.(value & flag & info [ "strict" ] ~doc:"Treat warnings (and infos) as fatal.")
   in
-  let n =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N"
-          ~doc:"Number of suite loops to lint in suite mode.")
-  in
   let json =
     Arg.(
       value & flag
@@ -1312,8 +1266,8 @@ let lint_cmd =
           codes: 0 when no error-severity finding (and, with $(b,--strict), no finding \
           at all); 1 otherwise")
     Term.(
-      const run $ seed_arg $ opt_loop_arg $ n $ clusters_arg $ model_arg $ regs $ strict
-      $ jobs_arg $ json)
+      const run $ seed_arg $ opt_loop_arg $ suite_size_arg $ clusters_arg $ model_arg $ regs
+      $ strict $ jobs_arg $ json)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -1437,13 +1391,6 @@ let analyze_cmd =
         (if !warnings = 1 then "" else "s");
     if !errors > 0 || !crashed > 0 then exit 1
   in
-  let n =
-    Arg.(
-      value
-      & opt int Workload.Suite.size
-      & info [ "loops"; "n" ] ~docv:"N"
-          ~doc:"Number of suite loops to analyze in suite mode.")
-  in
   let diff_ddg =
     Arg.(
       value & flag
@@ -1479,14 +1426,14 @@ let analyze_cmd =
           $(b,-j) domains with byte-identical output. Exit 1 when any unsoundness \
           discrepancy (AN001/AN002) or analysis crash is found")
     Term.(
-      const run $ seed_arg $ opt_loop_arg $ n $ clusters_arg $ model_arg $ diff_ddg
-      $ maxlive $ json $ jobs_arg)
+      const run $ seed_arg $ opt_loop_arg $ suite_size_arg $ clusters_arg $ model_arg
+      $ diff_ddg $ maxlive $ json $ jobs_arg)
 
 let stress_cmd =
   let run seed trials fault_rate no_fatal verbose jobs trace_out =
     with_trace trace_out @@ fun obs ->
     let s =
-      Robust.Stress.run ?obs ~jobs ~job_clock:real_job_clock
+      Robust.Stress.run ?obs ~jobs ~job_clock:(fun _shard -> real_clock)
         ~include_fatal:(not no_fatal) ~fault_rate ~seed ~trials ()
     in
     print_endline (Robust.Stress.report ~verbose s);
@@ -2177,7 +2124,7 @@ let main =
       perfdiff_cmd;
       schedule_cmd; compare_cmd; rcg_cmd; ddg_cmd; alloc_cmd; lint_cmd; analyze_cmd;
       stress_cmd;
-      sim_cmd; experiment_cmd; csv_cmd; cache_cmd; serve_cmd; bombard_cmd; call_cmd;
+      sim_cmd; cache_cmd; serve_cmd; bombard_cmd; call_cmd;
       top_cmd; flight_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -197,7 +197,7 @@ type result = {
   executed : int;
 }
 
-let run ?obs ?(jobs = 1) ?cache ?job_clock ?partitioner ?scheduler ~machine loops =
+let run ?(jobs = 1) ?cache ?partitioner ?scheduler ~machine loops =
   let loops = Array.of_list loops in
   let js =
     Array.map
@@ -205,14 +205,14 @@ let run ?obs ?(jobs = 1) ?cache ?job_clock ?partitioner ?scheduler ~machine loop
         {
           Engine.Run.key = job_key ?partitioner ?scheduler ~machine loop;
           work =
-            (fun tr ->
-              match Partition.Driver.pipeline ?obs:tr ?partitioner ?scheduler ~machine loop with
+            (fun _ ->
+              match Partition.Driver.pipeline ?partitioner ?scheduler ~machine loop with
               | Ok r -> Ok (Metrics.of_result r)
               | Error e -> Error e);
         })
       loops
   in
-  let outs, stats = Engine.Run.map ?cache ~codec ?obs ?job_clock ~jobs js in
+  let outs, stats = Engine.Run.map ?cache ~codec ~jobs js in
   let outcomes =
     Array.mapi
       (fun i out ->

@@ -46,10 +46,8 @@ type result = {
 }
 
 val run :
-  ?obs:Obs.Trace.t ->
   ?jobs:int ->
   ?cache:Engine.Cache.t ->
-  ?job_clock:(int -> Obs.Clock.t) ->
   ?partitioner:Partition.Driver.partitioner ->
   ?scheduler:Partition.Driver.scheduler ->
   machine:Mach.Machine.t ->

@@ -33,14 +33,9 @@ type run = {
   cache_hits : int;
 }
 
-let run_config ?obs ?(jobs = 1) ?cache ?job_clock ?partitioner ?loops config =
+let run_config ?(jobs = 1) ?cache ?partitioner ?loops config =
   let loops = match loops with Some l -> l | None -> Lazy.force default_loops in
-  Obs.Trace.span obs "experiment.config"
-    ~attrs:[ ("config", config.label); ("loops", string_of_int (List.length loops)) ]
-  @@ fun () ->
-  let batch =
-    Batch.run ?obs ~jobs ?cache ?job_clock ?partitioner ~machine:config.machine loops
-  in
+  let batch = Batch.run ~jobs ?cache ?partitioner ~machine:config.machine loops in
   let metrics = ref [] in
   let failures = ref [] in
   Array.iter
@@ -56,8 +51,8 @@ let run_config ?obs ?(jobs = 1) ?cache ?job_clock ?partitioner ?loops config =
     cache_hits = batch.Batch.hits;
   }
 
-let run_all ?obs ?jobs ?cache ?job_clock ?partitioner ?loops ?(configs = paper_configs) () =
-  List.map (run_config ?obs ?jobs ?cache ?job_clock ?partitioner ?loops) configs
+let run_all ?jobs ?cache ?partitioner ?loops ?(configs = paper_configs) () =
+  List.map (run_config ?jobs ?cache ?partitioner ?loops) configs
 
 let ideal_ipc ?loops () =
   let loops = match loops with Some l -> l | None -> Lazy.force default_loops in

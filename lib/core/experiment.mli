@@ -26,27 +26,21 @@ type run = {
 }
 
 val run_config :
-  ?obs:Obs.Trace.t ->
   ?jobs:int ->
   ?cache:Engine.Cache.t ->
-  ?job_clock:(int -> Obs.Clock.t) ->
   ?partitioner:Partition.Driver.partitioner ->
   ?loops:Ir.Loop.t list ->
   config ->
   run
 (** Pipelines every loop ([loops] defaults to the 211-loop suite).
-    [obs] (default off) traces one [experiment.config] span per call
-    with a [pipeline] child per loop. [jobs] (default 1 — the exact
-    serial path; 0 = one per core) shards the loops across an
-    {!Engine.Pool}; metrics, failures, and the folded [obs] totals are
+    [jobs] (default 1 — the exact serial path; 0 = one per core) shards
+    the loops across an {!Engine.Pool}; metrics and failures are
     identical for every [jobs] value. [cache] keys each
     (loop, machine, options) triple by content ({!Batch.job_key}). *)
 
 val run_all :
-  ?obs:Obs.Trace.t ->
   ?jobs:int ->
   ?cache:Engine.Cache.t ->
-  ?job_clock:(int -> Obs.Clock.t) ->
   ?partitioner:Partition.Driver.partitioner ->
   ?loops:Ir.Loop.t list ->
   ?configs:config list ->

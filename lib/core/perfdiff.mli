@@ -1,5 +1,5 @@
 (** Comparison of two bench telemetry documents ([rbp-bench/1], written
-    by [bench/main.exe]) with per-metric regression thresholds — the
+    by [rbp report -f json]) with per-metric regression thresholds — the
     engine behind [rbp perfdiff] and the CI perf gate.
 
     Only the deterministic metrics are compared (per-config loop counts,

@@ -32,33 +32,16 @@ let table2 runs =
          runs);
   t
 
-let histogram_percents (run : Experiment.run) =
-  Util.Stats.histogram_percent (Metrics.degradation_histogram run.metrics)
-
 let figure_histogram embedded copy_unit ~title =
   let t = Util.Table.create ~title ~header:("Degradation" :: Metrics.histogram_labels) in
   let row label (run : Experiment.run) =
+    let percents = Util.Stats.histogram_percent (Metrics.degradation_histogram run.metrics) in
     Util.Table.add_row t
-      (label
-      :: (Array.to_list (histogram_percents run) |> List.map (Util.Table.cell_float ~decimals:1)))
+      (label :: (Array.to_list percents |> List.map (Util.Table.cell_float ~decimals:1)))
   in
   row "Embedded" embedded;
   row "Copy Unit" copy_unit;
   t
-
-let ascii_histogram embedded copy_unit ~title =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf title;
-  Buffer.add_char buf '\n';
-  let pe = histogram_percents embedded and pc = histogram_percents copy_unit in
-  List.iteri
-    (fun idx label ->
-      let bar p = String.make (int_of_float (p /. 2.0)) '#' in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-6s E %5.1f%% |%-40s\n         C %5.1f%% |%-40s\n" label pe.(idx)
-           (bar pe.(idx)) pc.(idx) (bar pc.(idx))))
-    Metrics.histogram_labels;
-  Buffer.contents buf
 
 let to_csv runs =
   let buf = Buffer.create 1024 in

@@ -12,9 +12,6 @@ val figure_histogram : Experiment.run -> Experiment.run -> title:string -> Util.
 (** One of Figures 5-7: per-bucket percentage of loops for the embedded
     and copy-unit runs of one cluster count. *)
 
-val ascii_histogram : Experiment.run -> Experiment.run -> title:string -> string
-(** The same data as a bar chart for terminal reading. *)
-
 val table1_md : ideal_ipc:float -> Experiment.run list -> string
 (** Table 1 as the exact markdown block of EXPERIMENTS.md: paper-constant
     rows plus the measured rows, column layout pinned byte-for-byte. *)
@@ -65,8 +62,8 @@ val paper_tables_json :
   Experiment.run list ->
   Obs.Json.t
 (** The same aggregates in the [rbp-bench/1] telemetry schema, so a
-    report can be fed straight to {!Perfdiff} — the one writer of that
-    schema for both [rbp report -f json] and [bench/main.exe]. [engine]
+    report can be fed straight to {!Perfdiff} — what
+    [rbp report -f json] writes. [engine]
     appends [jobs], [cache_hits] and [wall_s] (read by
     {!Perfdiff.engine_note}, never gated); without it the document is
     deterministic. *)
@@ -90,4 +87,5 @@ val failures_summary : Experiment.run list -> string
 val to_csv : Experiment.run list -> string
 (** Per-loop results of every run as CSV (header line included): columns
     config, loop, ops, ideal_ii, clustered_ii, degradation, ipc_ideal,
-    ipc_clustered, copies. For plotting outside the repo. *)
+    ipc_clustered, copies — what [rbp report -f csv] prints, for plotting
+    outside the repo. *)

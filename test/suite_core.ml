@@ -72,8 +72,6 @@ let experiment_tests =
         let fig = Core.Report.figure_histogram e c ~title:"fig" in
         check Alcotest.bool "fig has buckets" true
           (contains (Util.Table.render fig) "0.00%");
-        check Alcotest.bool "ascii renders" true
-          (String.length (Core.Report.ascii_histogram e c ~title:"t") > 0);
         check Alcotest.bool "failures none" true
           (contains (Core.Report.failures_summary runs) "none"));
   ]
