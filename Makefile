@@ -3,7 +3,7 @@
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
-        trace-digest
+        trace-digest trace-digest-check
 
 all: build
 
@@ -49,6 +49,12 @@ stress:
 # partitioning decision alone prints the same two lines.
 trace-digest: build
 	sh tools/trace_digest.sh
+
+# The decision gate: the digest must equal tools/trace_digest.expected.
+# A change that moves decisions on purpose regenerates that file
+# (make trace-digest > tools/trace_digest.expected) and says why.
+trace-digest-check: build
+	sh tools/trace_digest.sh | diff -u tools/trace_digest.expected -
 
 # The studies beyond the paper (ablation, schedulers, latency, ...); the
 # paper's own tables and figures come from `make report` / `make experiment`.

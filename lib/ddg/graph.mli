@@ -12,7 +12,15 @@
 
     Latency conventions: flow edges carry the defining op's latency; anti
     edges 0 (operands are read at issue); output edges 1; memory flow
-    edges the store latency; other memory edges 1. *)
+    edges the store latency; other memory edges 1.
+
+    Every distance-0 edge points forward in body order (register edges
+    join an earlier op to a later one, and a memory edge at distance 0
+    needs the same), so [order] is a topological order of the
+    loop-independent subgraph. Each node's {!succs} and {!preds} list
+    its same-iteration register edges first (in body order of the other
+    end), then its loop-carried register edges, then its memory edges:
+    schedulers that evict in edge order depend on it. *)
 
 type t = private {
   graph : Dep.t Graphlib.Digraph.t;

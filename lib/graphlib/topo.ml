@@ -1,7 +1,9 @@
 let sort g =
   let indeg = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace indeg n (Digraph.in_degree g n)) (Digraph.nodes g);
-  (* Min-id-first queue keeps the order deterministic. *)
+  (* [ready] starts as the sources in ascending id and works as a stack:
+     the nodes each pop releases go on its front, in successor order. The
+     order is deterministic, but it is not min-id-first. *)
   let ready =
     ref (List.filter (fun n -> Hashtbl.find indeg n = 0) (Digraph.nodes g))
   in

@@ -45,3 +45,16 @@ val components : t -> int list list
     member. *)
 
 val copy : t -> t
+
+(** {2 Ranks}
+
+    Rank [i] is the [i]-th smallest node id, for [0 <= i < node_count].
+    The rows behind {!neighbors} are built once, on the first read after
+    a change, so reading a finished graph by rank costs no hashing. *)
+
+val node_of_rank : t -> int -> int
+
+val iter_row : t -> int -> (int -> float -> unit) -> unit
+(** [iter_row g i f] calls [f j w] for each neighbour of rank [i], by
+    ascending rank [j], with the edge weight [w] (the order of
+    {!neighbors}). *)

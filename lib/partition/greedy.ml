@@ -1,12 +1,3 @@
-let benefit ~balance_penalty ~placed ~counts g node bank =
-  let from_edges =
-    List.fold_left
-      (fun acc (m, w) -> if placed m = Some bank then acc +. w else acc)
-      0.0
-      (Rcg.Graph.neighbors g node)
-  in
-  from_edges -. (balance_penalty *. float_of_int counts.(bank))
-
 let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
   if banks < 1 then invalid_arg "Greedy.partition: banks must be >= 1";
   let n = Rcg.Graph.node_count g in
@@ -20,15 +11,21 @@ let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
   if traced then
     Obs.Trace.emit obs
       (Obs.Events.Greedy_penalty { penalty = balance_penalty; mean_edge; nodes = n; banks });
-  let assignment = Hashtbl.create n in
+  (* Bank of each node, -1 while unplaced. *)
+  let bank = Array.make n (-1) in
   let counts = Array.make banks 0 in
-  let placed r = Hashtbl.find_opt assignment (Ir.Vreg.id r) in
-  let place r b =
-    Hashtbl.replace assignment (Ir.Vreg.id r) b;
+  let place i b =
+    bank.(i) <- b;
     counts.(b) <- counts.(b) + 1
   in
-  List.iter
-    (fun node ->
+  (* A bank's benefit is the sum of the edge weights to the node's
+     neighbours already in it, in ascending neighbour order, minus the
+     balance penalty for the bank's population. One pass over the node's
+     row sums every bank. *)
+  let benefits = Array.make banks 0.0 in
+  Array.iter
+    (fun i ->
+      let node = Rcg.Graph.register g i in
       match Rcg.Graph.pinned g node with
       | Some b ->
           if b < 0 || b >= banks then
@@ -46,14 +43,17 @@ let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
                    ties = [];
                    pinned = true;
                  });
-          place node b
+          place i b
       | None ->
+          Array.fill benefits 0 banks 0.0;
+          Rcg.Graph.iter_neighbors g i (fun j w ->
+              let b = bank.(j) in
+              if b >= 0 then benefits.(b) <- benefits.(b) +. w);
           let best = ref 0 in
           let best_benefit = ref neg_infinity in
           let ties = ref 1 in
-          let benefits = Array.make banks 0.0 in
           for b = 0 to banks - 1 do
-            let v = benefit ~balance_penalty ~placed ~counts g node b in
+            let v = benefits.(b) -. (balance_penalty *. float_of_int counts.(b)) in
             benefits.(b) <- v;
             if v > !best_benefit then begin
               best_benefit := v;
@@ -81,7 +81,6 @@ let partition ?obs ?(weights = Rcg.Weights.default) ~banks g =
                    pinned = false;
                  })
           end;
-          place node !best)
-    (Rcg.Graph.by_weight_desc g);
-  Assign.of_list
-    (List.map (fun r -> (r, Hashtbl.find assignment (Ir.Vreg.id r))) (Rcg.Graph.registers g))
+          place i !best)
+    (Rcg.Graph.placement_order g);
+  Assign.of_list (List.init n (fun i -> (Rcg.Graph.register g i, bank.(i))))

@@ -26,14 +26,3 @@ val partition :
     [greedy.decisions] / [greedy.tie_breaks] / [greedy.pinned]
     counters (a tie-break is a placement where two or more banks shared
     the best benefit; the lowest index wins). *)
-
-val benefit :
-  balance_penalty:float ->
-  placed:(Ir.Vreg.t -> int option) ->
-  counts:int array ->
-  Rcg.Graph.t ->
-  Ir.Vreg.t ->
-  int ->
-  float
-(** The benefit of placing one node in one bank given the current partial
-    placement — exposed for tests and for the UAS baseline. *)

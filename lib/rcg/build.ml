@@ -22,12 +22,17 @@ let build ?obs ?(weights = Weights.default) src =
   in
   List.iter
     (fun row ->
+      let row = Array.of_list row in
+      (* Each operation's factor, computed once for its attraction edges
+         and every repulsion pair it is in. *)
+      let factor = Array.map (op_factor w src) row in
+      let defs = Array.map Ir.Op.defs row in
       (* Attraction: defs and uses of one operation. *)
-      List.iter
-        (fun op ->
-          List.iter (Graph.add_register g) (Ir.Op.defs op);
+      Array.iteri
+        (fun k op ->
+          List.iter (Graph.add_register g) defs.(k);
           List.iter (Graph.add_register g) (Ir.Op.uses op);
-          let factor = op_factor w src op in
+          let factor = factor.(k) in
           if traced then begin
             let id = Ir.Op.id op in
             Obs.Trace.emit obs
@@ -53,35 +58,27 @@ let build ?obs ?(weights = Weights.default) src =
                       emit_edge d u Obs.Events.Attract f
                     end)
                   (Ir.Op.uses op))
-              (Ir.Op.defs op))
+              defs.(k))
         row;
       (* Repulsion: defs of distinct operations sharing the instruction. *)
-      if w.Weights.repel_scale <> 0.0 then begin
-        let rec pairs = function
-          | [] -> ()
-          | o1 :: rest ->
-              List.iter
-                (fun o2 ->
-                  let f =
-                    w.Weights.repel_scale *. (op_factor w src o1 +. op_factor w src o2) /. 2.0
-                  in
-                  List.iter
-                    (fun d1 ->
-                      List.iter
-                        (fun d2 ->
-                          if not (Ir.Vreg.equal d1 d2) then begin
-                            Graph.add_edge_weight g d1 d2 (-.f);
-                            Graph.add_node_weight g d1 f;
-                            Graph.add_node_weight g d2 f;
-                            emit_edge d1 d2 Obs.Events.Repel (-.f)
-                          end)
-                        (Ir.Op.defs o2))
-                    (Ir.Op.defs o1))
-                rest;
-              pairs rest
-        in
-        pairs row
-      end)
+      if w.Weights.repel_scale <> 0.0 then
+        for k1 = 0 to Array.length row - 1 do
+          for k2 = k1 + 1 to Array.length row - 1 do
+            let f = w.Weights.repel_scale *. (factor.(k1) +. factor.(k2)) /. 2.0 in
+            List.iter
+              (fun d1 ->
+                List.iter
+                  (fun d2 ->
+                    if not (Ir.Vreg.equal d1 d2) then begin
+                      Graph.add_edge_weight g d1 d2 (-.f);
+                      Graph.add_node_weight g d1 f;
+                      Graph.add_node_weight g d2 f;
+                      emit_edge d1 d2 Obs.Events.Repel (-.f)
+                    end)
+                  defs.(k2))
+              defs.(k1)
+          done
+        done)
     src.instructions;
   g
 

@@ -9,8 +9,11 @@ let infinitely_negative = -1e18
 let create () = { ug = Graphlib.Ungraph.create (); regs = Hashtbl.create 64; pins = Hashtbl.create 8 }
 
 let add_register t r =
-  Hashtbl.replace t.regs (Ir.Vreg.id r) r;
-  Graphlib.Ungraph.add_node t.ug (Ir.Vreg.id r)
+  let id = Ir.Vreg.id r in
+  if not (Graphlib.Ungraph.mem_node t.ug id) then begin
+    Hashtbl.replace t.regs id r;
+    Graphlib.Ungraph.add_node t.ug id
+  end
 
 let add_node_weight t r w =
   add_register t r;
@@ -51,18 +54,37 @@ let neighbors t r =
 let components t =
   List.map (List.map (reg t)) (Graphlib.Ungraph.components t.ug)
 
-let mean_positive_edge_weight t =
-  let pos = List.filter_map (fun (_, _, w) -> if w > 0.0 then Some w else None)
-      (Graphlib.Ungraph.edges t.ug)
-  in
-  match pos with [] -> 1.0 | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
+let register t i = reg t (Graphlib.Ungraph.node_of_rank t.ug i)
+let iter_neighbors t i f = Graphlib.Ungraph.iter_row t.ug i f
 
-let by_weight_desc t =
-  List.sort
+(* Summed over the edges (a, b), a < b, in ascending order: the float
+   sum depends on it. *)
+let mean_positive_edge_weight t =
+  let sum = ref 0.0 and count = ref 0 in
+  for i = 0 to node_count t - 1 do
+    iter_neighbors t i (fun j w ->
+        if j > i && w > 0.0 then begin
+          sum := !sum +. w;
+          incr count
+        end)
+  done;
+  if !count = 0 then 1.0 else !sum /. float_of_int !count
+
+let placement_order t =
+  let n = node_count t in
+  let weight =
+    Array.init n (fun i ->
+        Graphlib.Ungraph.node_weight t.ug (Graphlib.Ungraph.node_of_rank t.ug i))
+  in
+  let order = Array.init n Fun.id in
+  Array.sort
     (fun a b ->
-      let c = Float.compare (node_weight t b) (node_weight t a) in
-      if c <> 0 then c else Int.compare (Ir.Vreg.id a) (Ir.Vreg.id b))
-    (registers t)
+      let c = Float.compare weight.(b) weight.(a) in
+      if c <> 0 then c else Int.compare a b)
+    order;
+  order
+
+let by_weight_desc t = List.map (register t) (Array.to_list (placement_order t))
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>rcg (%d registers, %d edges):@," (node_count t) (edge_count t);

@@ -51,6 +51,22 @@ val by_weight_desc : t -> Ir.Vreg.t list
 (** Registers in decreasing node-weight order (ties: ascending id) — the
     greedy placement order of Figure 4. *)
 
+(** {2 Nodes by rank}
+
+    Node [i] is the [i]-th register in ascending id order, for
+    [0 <= i < node_count] (its {!Graphlib.Ungraph} rank): what the
+    partitioner's inner loop reads instead of {!neighbors}. *)
+
+val register : t -> int -> Ir.Vreg.t
+
+val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
+(** [iter_neighbors g i f] calls [f j w] for each neighbour [j] of node
+    [i] with edge weight [w], in ascending [j] (the order of
+    {!neighbors}). *)
+
+val placement_order : t -> int array
+(** The nodes of {!by_weight_desc}, in its order. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_dot : ?assignment:(Ir.Vreg.t -> int option) -> t -> string

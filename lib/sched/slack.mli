@@ -10,7 +10,9 @@
 type t
 
 val analyze : Ddg.Graph.t -> t
-(** Analysis over the distance-0 (loop-independent) subgraph. *)
+(** Analysis over the distance-0 (loop-independent) subgraph. Body order
+    is a topological order of its edges (see {!Ddg.Graph}), so this is
+    one forward and one backward pass over it. *)
 
 val asap : t -> int -> int
 (** Earliest issue cycle of an op id. Raises [Not_found]. *)

@@ -360,10 +360,208 @@ let oracle_tests =
           (Workload.Suite.loops ()));
   ]
 
+(* The reference DDG build: a scan over every ordered pair of ops, with
+   the flow / anti / output checks of Section 4 on each, then a scan over
+   every pair of memory references. Kept verbatim from before the build
+   moved to position tables; [Ddg.Graph] must produce the same edges in
+   the same per-node order. *)
+let reference_register_deps ~latency ~carried g ops =
+  let add_dep ~src ~dst dep = Graphlib.Digraph.add_edge g ~src ~dst dep in
+  let arr = Array.of_list ops in
+  let n = Array.length arr in
+  let defs = Array.map Ir.Op.defs arr in
+  let defs_at = Ir.Vreg.Tbl.create 64 in
+  let positions_defining r = Option.value ~default:[] (Ir.Vreg.Tbl.find_opt defs_at r) in
+  for i = n - 1 downto 0 do
+    List.iter (fun r -> Ir.Vreg.Tbl.replace defs_at r (i :: positions_defining r)) defs.(i)
+  done;
+  for p = 0 to n - 1 do
+    let dp = arr.(p) in
+    for q = p + 1 to n - 1 do
+      let dq = arr.(q) in
+      List.iter
+        (fun r ->
+          if List.exists (Ir.Vreg.equal r) (Ir.Op.uses dq) then begin
+            let killed = List.exists (fun k -> k > p && k < q) (positions_defining r) in
+            if not killed then
+              add_dep ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
+                (Ddg.Dep.make ~kind:Ddg.Dep.Flow ~latency:(Ir.Op.latency latency dp) ~distance:0)
+          end)
+        defs.(p);
+      List.iter
+        (fun r ->
+          if
+            List.exists (Ir.Vreg.equal r) (Ir.Op.uses dp)
+            && (carried = false || List.exists (fun k -> k < p) (positions_defining r))
+          then
+            add_dep ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
+              (Ddg.Dep.make ~kind:Ddg.Dep.Anti ~latency:0 ~distance:0))
+        defs.(q);
+      List.iter
+        (fun r ->
+          if List.exists (Ir.Vreg.equal r) defs.(p) then
+            add_dep ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id dq)
+              (Ddg.Dep.make ~kind:Ddg.Dep.Output ~latency:1 ~distance:0))
+        defs.(q)
+    done
+  done;
+  if carried then
+    for q = 0 to n - 1 do
+      let uq = arr.(q) in
+      List.iter
+        (fun r ->
+          match positions_defining r with
+          | [] -> ()
+          | defs ->
+              let first_def = List.hd defs in
+              let last_def = List.nth defs (List.length defs - 1) in
+              if first_def >= q then begin
+                let dp = arr.(last_def) in
+                add_dep ~src:(Ir.Op.id dp) ~dst:(Ir.Op.id uq)
+                  (Ddg.Dep.make ~kind:Ddg.Dep.Flow ~latency:(Ir.Op.latency latency dp) ~distance:1)
+              end)
+        (Ir.Op.uses uq)
+    done
+
+let reference_memory_deps ~latency ~carried g ops =
+  let arr = Array.of_list ops in
+  let n = Array.length arr in
+  let is_store o = Mach.Opcode.equal (Ir.Op.opcode o) Mach.Opcode.Store in
+  for p = 0 to n - 1 do
+    for q = 0 to n - 1 do
+      if p <> q || carried then begin
+        let a = arr.(p) and b = arr.(q) in
+        match (Ir.Op.addr a, Ir.Op.addr b) with
+        | Some aa, Some ab when is_store a || is_store b ->
+            let kind : Ddg.Dep.kind_mem =
+              match (is_store a, is_store b) with
+              | true, false -> Ddg.Dep.Mem_flow
+              | false, true -> Ddg.Dep.Mem_anti
+              | true, true -> Ddg.Dep.Mem_output
+              | false, false -> assert false
+            in
+            let min_dist = if p < q then 0 else 1 in
+            let latency =
+              match kind with Ddg.Dep.Mem_flow -> Ir.Op.latency latency a | _ -> 1
+            in
+            let emit d =
+              if d >= min_dist && (carried || d = 0) then
+                Graphlib.Digraph.add_edge g ~src:(Ir.Op.id a) ~dst:(Ir.Op.id b)
+                  (Ddg.Dep.make ~kind:(Ddg.Dep.Mem kind) ~latency ~distance:d)
+            in
+            (match Ddg.Memdep.test ~earlier:aa ~later:ab with
+            | Ddg.Memdep.No_dep -> ()
+            | Ddg.Memdep.Dep_at d -> emit d
+            | Ddg.Memdep.Dep_all -> emit min_dist)
+        | _ -> ()
+      end
+    done
+  done
+
+let reference_graph ?(latency = Mach.Latency.paper) ~carried ops =
+  let g = Graphlib.Digraph.create () in
+  List.iter (fun o -> Graphlib.Digraph.add_node g (Ir.Op.id o)) ops;
+  reference_register_deps ~latency ~carried g ops;
+  reference_memory_deps ~latency ~carried g ops;
+  g
+
+(* Reference ASAP/ALAP: longest paths over a topological sort of the
+   distance-0 subgraph, as [Sched.Slack] computed them before it walked
+   body order. *)
+let reference_slack ddg =
+  let g = Ddg.Graph.loop_independent ddg in
+  let weight (e : Ddg.Dep.t Graphlib.Digraph.edge) = Ddg.Dep.latency e.label in
+  let asap = Graphlib.Topo.longest_paths ~weight g in
+  let tail = Hashtbl.create 64 in
+  List.iter
+    (fun id ->
+      let own = Ddg.Graph.latency_of ddg (Ddg.Graph.op ddg id) in
+      Hashtbl.replace tail id
+        (List.fold_left
+           (fun acc (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+             max acc (weight e + Hashtbl.find tail e.dst))
+           own (Graphlib.Digraph.succs g id)))
+    (List.rev (Graphlib.Topo.sort_exn g));
+  let cp = Hashtbl.fold (fun id d acc -> max acc (d + Hashtbl.find tail id)) asap 0 in
+  (asap, (fun id -> cp - Hashtbl.find tail id), cp)
+
+(* [ddg] against the reference build of [ops]: every node's [succs] and
+   [preds] equal, order and labels included; every distance-0 edge
+   forward in body order; and Slack's ASAP/ALAP equal to the reference.
+   Returns an error message naming the first mismatch. *)
+let against_reference ?latency ~carried ops ddg =
+  let g = Ddg.Graph.graph ddg and r = reference_graph ?latency ~carried ops in
+  let pos = Hashtbl.create 64 in
+  List.iteri (fun k id -> Hashtbl.replace pos id k) ddg.Ddg.Graph.order;
+  let sl = Sched.Slack.analyze ddg in
+  let asap, alap, cp = reference_slack ddg in
+  let bad = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> bad := m :: !bad) fmt in
+  if Graphlib.Digraph.nodes g <> Graphlib.Digraph.nodes r then fail "node sets differ";
+  List.iter
+    (fun id ->
+      if Graphlib.Digraph.succs g id <> Graphlib.Digraph.succs r id then fail "op%d: succs differ" id;
+      if Graphlib.Digraph.preds g id <> Graphlib.Digraph.preds r id then fail "op%d: preds differ" id;
+      List.iter
+        (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+          if Ddg.Dep.distance e.label = 0 && Hashtbl.find pos e.src >= Hashtbl.find pos e.dst then
+            fail "op%d -> op%d: distance-0 edge not forward in body order" e.src e.dst)
+        (Graphlib.Digraph.succs g id);
+      if Sched.Slack.asap sl id <> Hashtbl.find asap id then fail "op%d: asap differs" id;
+      if Sched.Slack.alap sl id <> alap id then fail "op%d: alap differs" id)
+    ddg.Ddg.Graph.order;
+  if Sched.Slack.critical_path sl <> cp then fail "critical path differs";
+  match List.rev !bad with [] -> Ok () | m :: _ -> Error m
+
+let check_reference name ?latency ~carried ops ddg =
+  match against_reference ?latency ~carried ops ddg with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" name m
+
+let build_oracle_tests =
+  [
+    case "suite-bodies-and-blocks" (fun () ->
+        List.iter
+          (fun loop ->
+            let name = Ir.Loop.name loop and ops = Ir.Loop.ops loop in
+            check_reference name ~carried:true ops (Ddg.Graph.of_loop loop);
+            check_reference (name ^ " as a block") ~carried:false ops
+              (Ddg.Graph.of_block (Ir.Block.make ~label:"b" ops)))
+          (Workload.Suite.loops ()));
+    slow_case "rewritten-bodies" (fun () ->
+        List.iter
+          (fun loop ->
+            List.iter
+              (fun (cfg : Core.Experiment.config) ->
+                let m = cfg.machine in
+                match Partition.Driver.pipeline ~machine:m loop with
+                | Error e -> Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
+                | Ok r ->
+                    let body = r.Partition.Driver.rewritten in
+                    check_reference
+                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
+                      ~latency:m.latency ~carried:true (Ir.Loop.ops body)
+                      (Ddg.Graph.of_loop ~latency:m.latency body))
+              Core.Experiment.paper_configs)
+          (Workload.Suite.loops ()));
+    qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor ->
+            let body = fst (Ir.Unroll.loop ~factor loop) in
+            let ops = Ir.Loop.ops body in
+            against_reference ~carried:true ops (Ddg.Graph.of_loop body) = Ok ()
+            && against_reference ~carried:false ops
+                 (Ddg.Graph.of_block (Ir.Block.make ~label:"b" ops))
+               = Ok ())
+          [ 1; 4 ]);
+  ]
+
 let suite =
   [
     ("ddg.memdep", memdep_tests);
     ("ddg.build", build_tests);
     ("ddg.minii", minii_tests);
     ("ddg.minii-oracle", oracle_tests);
+    ("ddg.build-oracle", build_oracle_tests);
   ]

@@ -345,10 +345,66 @@ let driver_tests =
           (sample_loops ~n:14 ()));
   ]
 
+(* Every greedy decision over the whole experiment, folded into one MD5:
+   for each suite loop on each of the six paper configurations, the RCG
+   the pipeline would build from its ideal kernel is partitioned with
+   tracing on, and the balance penalty, every per-bank benefit vector
+   (floats in [%h], so any change of summation order shows) and the
+   final (register, bank) map go into the digest. The expected value was
+   computed before the RCG and the partitioner moved to dense rows. *)
+let greedy_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let places = ref 0 in
+  List.iter
+    (fun loop ->
+      List.iter
+        (fun (cfg : Core.Experiment.config) ->
+          let m = cfg.machine in
+          Printf.bprintf buf "%s %s\n" (Ir.Loop.name loop) cfg.label;
+          let ddg = Ddg.Graph.of_loop ~latency:m.Mach.Machine.latency loop in
+          match Sched.Modulo.ideal ~machine:m ddg with
+          | None -> Buffer.add_string buf "no ideal\n"
+          | Some ideal ->
+              let rcg =
+                Rcg.Build.build
+                  (Rcg.Build.source_of_kernel ~ddg ~depth:(Ir.Loop.depth loop)
+                     ideal.Sched.Modulo.kernel)
+              in
+              let obs = Obs.Trace.make ~clock:(Obs.Clock.fake ()) () in
+              let a = Partition.Greedy.partition ~obs ~banks:m.clusters rcg in
+              Obs.Trace.iter_events
+                (function
+                  | Obs.Events.Greedy_penalty { penalty; mean_edge; nodes; banks } ->
+                      Printf.bprintf buf "penalty %h %h %d %d\n" penalty mean_edge nodes banks
+                  | Obs.Events.Greedy_place { node; bank; benefit; benefits; ties; pinned } ->
+                      incr places;
+                      Printf.bprintf buf "place %s %d %h [%s] [%s] %b\n" node bank benefit
+                        (String.concat " " (List.map (Printf.sprintf "%h") benefits))
+                        (String.concat " " (List.map string_of_int ties))
+                        pinned
+                  | _ -> ())
+                obs;
+              Ir.Vreg.Map.iter
+                (fun r b -> Printf.bprintf buf " %s:%d" (Ir.Vreg.to_string r) b)
+                a;
+              Buffer.add_char buf '\n')
+        Core.Experiment.paper_configs)
+    (Workload.Suite.loops ());
+  (Digest.to_hex (Digest.string (Buffer.contents buf)), !places)
+
+let greedy_decision_tests =
+  [
+    slow_case "greedy-decisions-pinned" (fun () ->
+        let digest, places = greedy_digest () in
+        check Alcotest.bool "placements exercised" true (places > 0);
+        check Alcotest.string "decision digest" "6a0692f5500b4b19e5c2a27926775109" digest);
+  ]
+
 let suite =
   [
     ("partition.assign", assign_tests);
     ("partition.greedy", greedy_tests);
+    ("partition.greedy-digest", greedy_decision_tests);
     ("partition.copies", copies_tests);
     ("partition.baselines", baseline_tests);
     ("partition.driver", driver_tests);

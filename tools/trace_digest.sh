@@ -6,8 +6,9 @@
 # JSONL trace, and prints two MD5s: the stripped trace (every span,
 # attribute, counter and decision event — `sched.evict` chains
 # included) and stress's stdout. A change that claims to leave every
-# decision alone prints the same two lines as its parent: run this
-# script (or `make trace-digest`) in both checkouts and compare.
+# decision alone prints the same two lines as its parent.
+# tools/trace_digest.expected holds the two lines of the current tree;
+# `make trace-digest-check` and CI diff this script's output against it.
 #
 # Usage: trace_digest.sh [rbp-binary]
 #   (default: _build/default/bin/rbp.exe; build it first)
