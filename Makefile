@@ -3,7 +3,7 @@
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
-        trace-digest trace-digest-check
+        trace-digest trace-digest-check analyze-digest-check
 
 all: build
 
@@ -36,6 +36,14 @@ analyze:
 	  echo "== $$f"; \
 	  dune exec bin/rbp.exe -- analyze --diff-ddg $$f || exit 1; \
 	done
+
+# The analysis gate: the MD5 of `rbp analyze --json --maxlive -j 1`
+# (every loop's analysis results and solver iteration/widening totals)
+# must equal tools/analyze_digest.expected. A change that moves an
+# analysis result on purpose regenerates that file
+# (sh tools/analyze_digest.sh > tools/analyze_digest.expected) and says why.
+analyze-digest-check: build
+	sh tools/analyze_digest.sh | diff -u tools/analyze_digest.expected -
 
 # Deterministic fault-injection sweep through the resilient driver:
 # 200 seeded trials, Verify as the oracle. Exit 0 = every trial either

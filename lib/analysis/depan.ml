@@ -38,16 +38,18 @@ let of_loop ?(latency = Mach.Latency.paper) loop =
   let op_by_id = Hashtbl.create n in
   Array.iter (fun op -> Hashtbl.replace op_by_id (Ir.Op.id op) op) arr;
   let lat_of id = Ir.Op.latency latency (Hashtbl.find op_by_id id) in
-  (* Textual positions at which each register is (re)defined. *)
+  (* Textual positions at which each register is (re)defined, ascending
+     (gathered newest first, then reversed in place). *)
   let def_positions = Ir.Vreg.Tbl.create 16 in
   Array.iteri
     (fun i op ->
       List.iter
         (fun d ->
           let prev = Option.value ~default:[] (Ir.Vreg.Tbl.find_opt def_positions d) in
-          Ir.Vreg.Tbl.replace def_positions d (prev @ [ i ]))
+          Ir.Vreg.Tbl.replace def_positions d (i :: prev))
         (Ir.Op.defs op))
     arr;
+  Ir.Vreg.Tbl.filter_map_inplace (fun _ l -> Some (List.rev l)) def_positions;
   let edges = ref [] in
   let emit src dst kind latency distance =
     edges := { src; dst; kind; latency; distance } :: !edges
@@ -57,18 +59,17 @@ let of_loop ?(latency = Mach.Latency.paper) loop =
     let qid = Ir.Op.id oq in
     Ir.Vreg.Set.iter
       (fun r ->
+        let reaching = Reachdef.reaching rd ~pos:q r in
         (* Flow: the definition a use reads, at its iteration distance,
            is by construction a flow dependence at that distance. *)
         List.iter
           (fun (def_id, d) -> emit def_id qid Ddg.Dep.Flow (lat_of def_id) d)
-          (Reachdef.reaching rd ~pos:q r);
+          reaching;
         (* Anti: a same-iteration read pins every later redefinition of
            the register behind it. A read at distance >= 1 consumes the
            previous iteration's instance, which expansion renames, so it
            constrains nothing. *)
-        let reads_current =
-          List.exists (fun (_, d) -> d = 0) (Reachdef.reaching rd ~pos:q r)
-        in
+        let reads_current = List.exists (fun (_, d) -> d = 0) reaching in
         if reads_current then
           List.iter
             (fun k ->
@@ -131,7 +132,7 @@ let of_loop ?(latency = Mach.Latency.paper) loop =
             refs)
     refs;
   let sorted = List.sort_uniq compare_edge !edges in
-  { edges = sorted; reachdef = rd; stats = rd.Reachdef.stats }
+  { edges = sorted; reachdef = rd; stats = Reachdef.stats rd }
 
 let edge_to_string e =
   Printf.sprintf "op%d -> op%d %s lat=%d dist=%d" e.src e.dst

@@ -53,7 +53,7 @@ let per_bank_max_live t ~banks ~bank_of =
   Array.iter count t.after;
   peaks
 
-let dead_ops loop =
+let dead_ops ?live loop =
   let live_out = Ir.Loop.live_out loop in
   let removable op =
     match Ir.Op.dst op with
@@ -62,8 +62,8 @@ let dead_ops loop =
   in
   (* Iterate liveness-based removal: a def not live after its op is
      dead; removing it can make its operands' defs dead in turn. *)
-  let rec go ops dead =
-    let l = of_ops ops ~live_out in
+  let rec go ?l ops dead =
+    let l = match l with Some l -> l | None -> of_ops ops ~live_out in
     let arr = Array.of_list ops in
     let newly =
       List.filteri
@@ -86,7 +86,7 @@ let dead_ops loop =
     List.iter (fun op -> Hashtbl.replace tbl (Ir.Op.id op) ()) ops;
     tbl
   in
-  let dead = go (Ir.Loop.ops loop) [] in
+  let dead = go ?l:live (Ir.Loop.ops loop) [] in
   (* Report in body order regardless of removal round. *)
   let order = Hashtbl.create 32 in
   List.iteri (fun i op -> Hashtbl.replace order (Ir.Op.id op) i) (Ir.Loop.ops loop);

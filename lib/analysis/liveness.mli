@@ -41,8 +41,10 @@ val per_bank_max_live : t -> banks:int -> bank_of:(Ir.Vreg.t -> int) -> int arra
     maximum is taken independently (different banks may peak at
     different program points). *)
 
-val dead_ops : Ir.Loop.t -> Ir.Op.t list
+val dead_ops : ?live:t -> Ir.Loop.t -> Ir.Op.t list
 (** Transitively dead operations, in body order: ops whose destination
     is not live after them, iterated to a fixpoint so a chain feeding
     only dead ops is entirely flagged. Stores and [Nop]s are never
-    dead (stores are observable; nops define nothing). *)
+    dead (stores are observable; nops define nothing). [live], when
+    given, must be [of_loop] of the same loop: it stands in for the
+    first removal round's solve. *)

@@ -16,14 +16,13 @@ val dist_cap : int
 (** Distances at or above the cap collapse to it (2 — the dependence
     consumers only distinguish 0, 1, "more"). *)
 
-type t = {
-  before : (int * int) list Ir.Vreg.Map.t array;
-      (** at each position, register to reaching [(def op id, min distance)]
-          pairs, sorted by op id *)
-  stats : Solver.stats;
-}
+type t
+(** The fixpoint, held densely: the body's registers are numbered once,
+    and each fact is one byte per (register, defining op) pair. *)
 
 val of_loop : Ir.Loop.t -> t
+
+val stats : t -> Solver.stats
 
 val reaching : t -> pos:int -> Ir.Vreg.t -> (int * int) list
 (** Definitions of the register reaching the entry of the op at

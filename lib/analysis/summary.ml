@@ -43,7 +43,7 @@ let report ?latency ~name loop =
       ops = List.length (Ir.Loop.ops loop);
       max_live = Liveness.max_live live;
       class_max_live = List.mapi (fun i c -> (c, per_class.(i))) classes;
-      dead = List.length (Liveness.dead_ops loop);
+      dead = List.length (Liveness.dead_ops ~live loop);
       constants = List.length (Valrange.constant_ops loop vr);
       remat = List.length (Valrange.remat_candidates loop vr);
       analysis_edges = diff.Validate.analysis_edges;

@@ -68,10 +68,10 @@ let slot_of t n =
       s
 
 let add_node t n = ignore (slot_of t n)
+let slot = slot_of
+let add_node_weight_at t s w = t.node_w.(s) <- t.node_w.(s) +. w
 
-let add_node_weight t n w =
-  let s = slot_of t n in
-  t.node_w.(s) <- t.node_w.(s) +. w
+let add_node_weight t n w = add_node_weight_at t (slot_of t n) w
 
 (* Position of slot [b] among slot [a]'s neighbours, or -1. *)
 let find_adj t a b =
@@ -97,13 +97,16 @@ let bump t a b w =
     true
   end
 
-let add_edge_weight t a b w =
-  if a = b then invalid_arg "Ungraph.add_edge_weight: self edge";
-  let sa = slot_of t a in
-  let sb = slot_of t b in
+let add_edge_weight_at t sa sb w =
+  if sa = sb then invalid_arg "Ungraph.add_edge_weight: self edge";
   t.view <- None;
   if bump t sa sb w then t.edges <- t.edges + 1;
   ignore (bump t sb sa w)
+
+let add_edge_weight t a b w =
+  if a = b then invalid_arg "Ungraph.add_edge_weight: self edge";
+  let sa = slot_of t a in
+  add_edge_weight_at t sa (slot_of t b) w
 
 let mem_node t n = Itbl.mem t.slot n
 let node_count t = Itbl.length t.slot

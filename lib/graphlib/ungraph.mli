@@ -58,3 +58,16 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 (** [iter_row g i f] calls [f j w] for each neighbour of rank [i], by
     ascending rank [j], with the edge weight [w] (the order of
     {!neighbors}). *)
+
+(** {2 Slots}
+
+    A node's slot is fixed when the node is added. Resolving a node
+    once and accumulating through its slot spares the hash lookups of
+    {!add_node_weight} and {!add_edge_weight}, whose sums these equal. *)
+
+val slot : t -> int -> int
+(** The node's slot, adding the node if new. *)
+
+val add_node_weight_at : t -> int -> float -> unit
+val add_edge_weight_at : t -> int -> int -> float -> unit
+(** Between two distinct slots; [Invalid_argument] on one slot twice. *)

@@ -26,12 +26,14 @@ let build ?obs ?(weights = Weights.default) src =
       (* Each operation's factor, computed once for its attraction edges
          and every repulsion pair it is in. *)
       let factor = Array.map (op_factor w src) row in
-      let defs = Array.map Ir.Op.defs row in
+      (* Each register with its node, resolved once per operation. *)
+      let resolve = List.map (fun r -> (r, Graph.node g r)) in
+      let defs = Array.make (Array.length row) [] in
       (* Attraction: defs and uses of one operation. *)
       Array.iteri
         (fun k op ->
-          List.iter (Graph.add_register g) defs.(k);
-          List.iter (Graph.add_register g) (Ir.Op.uses op);
+          defs.(k) <- resolve (Ir.Op.defs op);
+          let uses = resolve (Ir.Op.uses op) in
           let factor = factor.(k) in
           if traced then begin
             let id = Ir.Op.id op in
@@ -48,16 +50,16 @@ let build ?obs ?(weights = Weights.default) src =
           let f = w.Weights.attract_scale *. factor in
           if f <> 0.0 then
             List.iter
-              (fun d ->
+              (fun (d, dn) ->
                 List.iter
-                  (fun u ->
+                  (fun (u, un) ->
                     if not (Ir.Vreg.equal d u) then begin
-                      Graph.add_edge_weight g d u f;
-                      Graph.add_node_weight g d f;
-                      Graph.add_node_weight g u f;
+                      Graph.add_edge_weight_at g dn un f;
+                      Graph.add_node_weight_at g dn f;
+                      Graph.add_node_weight_at g un f;
                       emit_edge d u Obs.Events.Attract f
                     end)
-                  (Ir.Op.uses op))
+                  uses)
               defs.(k))
         row;
       (* Repulsion: defs of distinct operations sharing the instruction. *)
@@ -66,13 +68,13 @@ let build ?obs ?(weights = Weights.default) src =
           for k2 = k1 + 1 to Array.length row - 1 do
             let f = w.Weights.repel_scale *. (factor.(k1) +. factor.(k2)) /. 2.0 in
             List.iter
-              (fun d1 ->
+              (fun (d1, n1) ->
                 List.iter
-                  (fun d2 ->
+                  (fun (d2, n2) ->
                     if not (Ir.Vreg.equal d1 d2) then begin
-                      Graph.add_edge_weight g d1 d2 (-.f);
-                      Graph.add_node_weight g d1 f;
-                      Graph.add_node_weight g d2 f;
+                      Graph.add_edge_weight_at g n1 n2 (-.f);
+                      Graph.add_node_weight_at g n1 f;
+                      Graph.add_node_weight_at g n2 f;
                       emit_edge d1 d2 Obs.Events.Repel (-.f)
                     end)
                   defs.(k2))

@@ -19,6 +19,15 @@ let add_node_weight t r w =
   add_register t r;
   Graphlib.Ungraph.add_node_weight t.ug (Ir.Vreg.id r) w
 
+type node = int
+
+let node t r =
+  add_register t r;
+  Graphlib.Ungraph.slot t.ug (Ir.Vreg.id r)
+
+let add_node_weight_at t n w = Graphlib.Ungraph.add_node_weight_at t.ug n w
+let add_edge_weight_at t a b w = Graphlib.Ungraph.add_edge_weight_at t.ug a b w
+
 let add_edge_weight t a b w =
   if not (Ir.Vreg.equal a b) then begin
     add_register t a;

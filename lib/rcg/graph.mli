@@ -19,6 +19,17 @@ val add_edge_weight : t -> Ir.Vreg.t -> Ir.Vreg.t -> float -> unit
 (** Accumulate (same-pair contributions sum). Self edges are ignored (a
     register trivially shares a bank with itself). *)
 
+type node
+(** A register resolved once: accumulating through it costs no hashing. *)
+
+val node : t -> Ir.Vreg.t -> node
+(** Adds the register if new. *)
+
+val add_node_weight_at : t -> node -> float -> unit
+val add_edge_weight_at : t -> node -> node -> float -> unit
+(** As {!add_node_weight} and {!add_edge_weight}; the two nodes must be
+    distinct registers. *)
+
 val pin : t -> Ir.Vreg.t -> int -> unit
 (** Force the register into the given bank. Raises [Invalid_argument] on
     conflicting pins. *)

@@ -79,9 +79,17 @@ let alloc_view (a : Regalloc.Alloc.t) =
     live_out = a.Regalloc.Alloc.live_out;
   }
 
-let verify_diags (r : result) =
+(* Every applicable analyzer over the result's artifacts. The ladder
+   hands in its memo and the DDGs its fail-fast check used (the source
+   loop's and the emitted body's), so what that check already analysed
+   is not analysed again; without them everything is derived afresh. *)
+let diags ?memo ?source_ddg ?ddg (r : result) =
   let m = r.machine in
-  let ddg_r = Ddg.Graph.of_loop ~latency:m.Mach.Machine.latency r.rewritten in
+  let ddg_r =
+    match ddg with
+    | Some d -> d
+    | None -> Ddg.Graph.of_loop ~latency:m.Mach.Machine.latency r.rewritten
+  in
   let stages =
     {
       (Verify.Pipeline.stages ~machine:m r.loop) with
@@ -91,9 +99,13 @@ let verify_diags (r : result) =
   in
   match r.code with
   | Kernel { kernel; _ } ->
-      Verify.Pipeline.run { stages with Verify.Pipeline.clustered = Some (ddg_r, kernel) }
+      Verify.Pipeline.run ?memo ?source_ddg
+        { stages with Verify.Pipeline.clustered = Some (ddg_r, kernel) }
   | Flat sched ->
-      Verify.Pipeline.run stages @ Verify.Sched_check.flat ~machine:m ~ddg:ddg_r sched
+      Verify.Pipeline.run ?memo ?source_ddg stages
+      @ Verify.Sched_check.flat ~machine:m ~ddg:ddg_r sched
+
+let verify_diags r = diags r
 
 (* ------------------------------------------------------------------ *)
 (* The ladder                                                          *)
@@ -109,6 +121,9 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
   let budgets = if config.budget_schedule = [] then [ 10 ] else config.budget_schedule in
   let spill_rounds = if config.spill_rounds = [] then [ 8 ] else config.spill_rounds in
   let attempts = ref [] (* newest first *) in
+  (* Dataflow checks of this run's artifacts, shared by every rung's
+     fail-fast check and final verification. *)
+  let memo = Verify.Pipeline.memo () in
   let log ?code ~rung stage detail =
     attempts := Verify.Stage_error.attempt ~rung ?code stage detail :: !attempts
   in
@@ -209,7 +224,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
              | 0 -> ""
              | n -> Printf.sprintf " (and %d more errors)" n))
   in
-  let finish ~rung ~code ~n_copies ~rewritten (alloc : Regalloc.Alloc.t) =
+  let finish ~rung ~code ~n_copies ~source_ddg ~rewritten ~ddg (alloc : Regalloc.Alloc.t) =
     let candidate =
       {
         loop; machine = m; rewritten; assignment = alloc.Regalloc.Alloc.assignment; code; alloc;
@@ -218,8 +233,10 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
       }
     in
     let* () = guard Verify.Stage_error.Verification in
-    (* The oracle has the final word regardless of which rung we came by. *)
-    let* diags = check (verify_diags candidate) in
+    (* The oracle has the final word regardless of which rung we came by:
+       every analyzer runs over the emitted artifacts, and only the
+       dataflow checks of a body and DDG already analysed are reused. *)
+    let* diags = check (diags ~memo ~source_ddg ~ddg candidate) in
     Ok { candidate with diags; attempts = List.rev !attempts }
   in
   (* A rung's outcome: the result, or its failure logged under [rung]. *)
@@ -278,7 +295,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     (* Fail fast on a bad partition or schedule before paying for step 5. *)
     let* _ =
       check
-        (Verify.Pipeline.run
+        (Verify.Pipeline.run ~memo
            {
              (Verify.Pipeline.stages ~machine:m loop) with
              Verify.Pipeline.ideal = Some (ddg, ideal.Sched.Modulo.kernel);
@@ -289,20 +306,24 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     let* () = guard Verify.Stage_error.Allocation in
     let* alloc = allocate_stage ~rung ~assignment rewritten in
     let respilled = alloc.Regalloc.Alloc.spill_count > 0 in
-    let* rewritten, kernel, ii =
-      if not respilled then Ok (rewritten, kernel, clustered.Sched.Modulo.ii)
+    let* rewritten, ddg_r, kernel, ii =
+      if not respilled then Ok (rewritten, rb.ddg, kernel, clustered.Sched.Modulo.ii)
       else
         let* sloop, rb' = spilled alloc in
         let* clustered' = modulo_schedule ~what:" for the spill-rewritten body" ~budget rb' in
-        Ok (sloop, hooks.on_kernel clustered'.Sched.Modulo.kernel, clustered'.Sched.Modulo.ii)
+        Ok
+          ( sloop,
+            rb'.ddg,
+            hooks.on_kernel clustered'.Sched.Modulo.kernel,
+            clustered'.Sched.Modulo.ii )
     in
     finish ~rung:(mk_rung ~respilled)
       ~code:(Kernel { kernel; ii; ideal_ii = ideal.Sched.Modulo.ii })
-      ~n_copies:ins.Partition.Copies.n_copies ~rewritten alloc
+      ~n_copies:ins.Partition.Copies.n_copies ~source_ddg:ddg ~rewritten ~ddg:ddg_r alloc
   in
   (* The last rung: flat single-bank list schedule — immune to II budgets,
      recurrence circuits and inter-bank copies. *)
-  let attempt_flat () =
+  let attempt_flat ~ddg () =
     let rung = rung_name Non_pipelined in
     Obs.Trace.span obs "ladder.rung" ~attrs:[ ("rung", rung) ] @@ fun () ->
     Obs.Trace.incr obs ~label:rung Obs.Counter.Ladder_rung_entered 1;
@@ -318,15 +339,15 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     let* alloc = allocate_stage ~rung ~assignment rewritten in
     (* Spilled flat code keeps its schedule for the unspilled ops only;
        re-list-schedule the spilled body so code and schedule agree. *)
-    let* rewritten, sched =
-      if alloc.Regalloc.Alloc.spill_count = 0 then Ok (rewritten, sched)
+    let* rewritten, ddg_r, sched =
+      if alloc.Regalloc.Alloc.spill_count = 0 then Ok (rewritten, rb.ddg, sched)
       else
         let* sloop, rb' = spilled alloc in
         let* sched' = list_schedule rb' in
-        Ok (sloop, sched')
+        Ok (sloop, rb'.ddg, sched')
     in
     finish ~rung:Non_pipelined ~code:(Flat sched) ~n_copies:ins.Partition.Copies.n_copies
-      ~rewritten alloc
+      ~source_ddg:ddg ~rewritten ~ddg:ddg_r alloc
   in
   (* --- ladder execution ------------------------------------------- *)
   let ir_diags = Verify.Ir_check.loop loop in
@@ -368,7 +389,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
             (per_partitioner @ single)
     in
     let rungs =
-      modulo_rungs @ (if config.allow_non_pipelined then [ attempt_flat ] else [])
+      modulo_rungs @ (if config.allow_non_pipelined then [ attempt_flat ~ddg ] else [])
     in
     let rec descend = function
       | [] when cancel () -> deadline_error ()

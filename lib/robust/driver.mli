@@ -135,6 +135,10 @@ val run :
     name — the successful rung is the entered one that never failed. *)
 
 val verify_diags : result -> Verify.Diag.t list
-(** Re-run every applicable analyzer over the result's artifacts — the
-    oracle the stress harness uses to audit the driver's own claim that
-    emitted code is verified. *)
+(** Re-run every applicable analyzer over the result's artifacts
+    afresh: DDGs rebuilt, every dataflow analysis solved anew. This is
+    the oracle the stress harness uses to audit the driver's own claim
+    that emitted code is verified. {!run} reaches the same list more
+    cheaply — its final verification reuses the dataflow checks of its
+    fail-fast check on the same artifacts — and a result's [diags]
+    must equal [verify_diags] of it. *)

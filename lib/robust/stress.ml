@@ -50,12 +50,19 @@ let classify ~fired outcome_of_run =
   match outcome_of_run with
   | `Raised msg -> Violation ("driver raised: " ^ msg)
   | `Ok (r : Driver.result) -> (
-      (* Independent oracle: never trust the driver's own verdict. *)
-      match Verify.Diag.errors (Driver.verify_diags r) with
+      (* Independent oracle: never trust the driver's own verdict, nor
+         the diagnostics it reused from its fail-fast check. *)
+      let oracle = Driver.verify_diags r in
+      match Verify.Diag.errors oracle with
       | first :: _ ->
           Violation
             (Printf.sprintf "emitted code fails verification: %s"
                (Verify.Diag.to_string first))
+      | [] when oracle <> r.Driver.diags ->
+          Violation
+            (Printf.sprintf
+               "reported diagnostics differ from a fresh verification (%d vs %d)"
+               (List.length r.Driver.diags) (List.length oracle))
       | [] -> if fired = [] then Clean else Recovered)
   | `Error (_ : Verify.Stage_error.t) ->
       (* A structured surrender is the contract for unsalvageable input

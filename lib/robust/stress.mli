@@ -16,8 +16,9 @@
       unsalvageable input;
     - {b Unrecovered} — a structured failure although only recoverable
       (transient) faults fired: the ladder should have caught it;
-    - {b Violation} — the driver raised, or returned [Ok] code the
-      oracle rejects. Never acceptable.
+    - {b Violation} — the driver raised, returned [Ok] code the
+      oracle rejects, or returned [Ok] with diagnostics other than the
+      oracle's fresh {!Driver.verify_diags}. Never acceptable.
 
     Same seed, same trial count → byte-identical report. *)
 

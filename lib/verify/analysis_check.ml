@@ -21,19 +21,24 @@ let check ?obs ?ddg ?(latency = Mach.Latency.paper) ?(remat_info = false) loop =
     let ddg = match ddg with Some d -> d | None -> Ddg.Graph.of_loop ~latency loop in
     let latency = ddg.Ddg.Graph.latency in
     let live = Analysis.Liveness.of_loop loop in
-    let vr = Analysis.Valrange.of_loop loop in
+    (* Value ranges feed only the AN008 remat info, so they are solved
+       only when it is asked for. *)
+    let vr = if remat_info then Some (Analysis.Valrange.of_loop loop) else None in
     let dep = Analysis.Depan.of_loop ~latency loop in
     let report = Analysis.Validate.run dep ddg in
-    let iters st = st.Analysis.Solver.iterations in
-    let wides st = st.Analysis.Solver.widenings in
+    let solves =
+      List.concat
+        [
+          [ ("liveness", live.Analysis.Liveness.stats) ];
+          (match vr with Some vr -> [ ("value-range", vr.Analysis.Valrange.stats) ] | None -> []);
+          [ ("reaching-definitions", dep.Analysis.Depan.stats) ];
+        ]
+    in
+    let total f = List.fold_left (fun acc (_, st) -> acc + f st) 0 solves in
     Obs.Trace.incr obs Obs.Counter.Analysis_iterations
-      (iters live.Analysis.Liveness.stats
-      + iters vr.Analysis.Valrange.stats
-      + iters dep.Analysis.Depan.stats);
+      (total (fun st -> st.Analysis.Solver.iterations));
     Obs.Trace.incr obs Obs.Counter.Analysis_widened
-      (wides live.Analysis.Liveness.stats
-      + wides vr.Analysis.Valrange.stats
-      + wides dep.Analysis.Depan.stats);
+      (total (fun st -> st.Analysis.Solver.widenings));
     Obs.Trace.incr obs Obs.Counter.Analysis_ddg_diff
       (List.length report.Analysis.Validate.findings);
     let diff = List.map finding_diag report.Analysis.Validate.findings in
@@ -52,18 +57,19 @@ let check ?obs ?ddg ?(latency = Mach.Latency.paper) ?(remat_info = false) loop =
                       "register %s is read only by transitively dead code"
                       (Ir.Vreg.to_string d)))
           | _ -> None)
-        (Analysis.Liveness.dead_ops loop)
+        (Analysis.Liveness.dead_ops ~live loop)
     in
     let remat =
-      if not remat_info then []
-      else
-        List.map
-          (fun (op, v) ->
-            Diag.info Diag.Analysis ~code:"AN008" ~loc:(op_loc op)
-              (Printf.sprintf
-                 "result is provably %d every iteration; rematerializable%s" v
-                 (if Ir.Op.is_memory op then " (via its defining chain)" else "")))
-          (Analysis.Valrange.constant_ops loop vr)
+      match vr with
+      | None -> []
+      | Some vr ->
+          List.map
+            (fun (op, v) ->
+              Diag.info Diag.Analysis ~code:"AN008" ~loc:(op_loc op)
+                (Printf.sprintf
+                   "result is provably %d every iteration; rematerializable%s" v
+                   (if Ir.Op.is_memory op then " (via its defining chain)" else "")))
+            (Analysis.Valrange.constant_ops loop vr)
     in
     let converged =
       List.filter_map
@@ -74,11 +80,7 @@ let check ?obs ?ddg ?(latency = Mach.Latency.paper) ?(remat_info = false) loop =
               (Diag.warning Diag.Analysis ~code:"AN007"
                  (Printf.sprintf "%s solve hit its iteration budget without converging"
                     name)))
-        [
-          ("liveness", live.Analysis.Liveness.stats);
-          ("value-range", vr.Analysis.Valrange.stats);
-          ("reaching-definitions", dep.Analysis.Depan.stats);
-        ]
+        solves
     in
     diff @ dead @ remat @ converged
   with exn ->

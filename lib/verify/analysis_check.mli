@@ -30,4 +30,9 @@ val check :
     [remat_info] (default [false]) additionally emits AN008 info
     diagnostics for rematerializable constant-valued ops — off in the
     pipeline so [--strict] lints stay meaningful, on under
-    [rbp analyze]. [obs] feeds the [analysis.*] counters. *)
+    [rbp analyze]. Value ranges are solved only then: AN008 is their
+    one consumer here, so without it neither their AN007 entry nor their
+    share of the counters appears. Liveness is solved once: the same
+    solve is counted and serves the first removal round of
+    {!Analysis.Liveness.dead_ops}. [obs] feeds the [analysis.*]
+    counters. *)

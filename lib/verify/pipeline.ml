@@ -16,7 +16,24 @@ type stages = {
 let stages ~machine loop =
   { machine; loop; ideal = None; partition = None; clustered = None; alloc = None }
 
-let run ?obs s =
+(* A few entries per ladder run, so a list searched by physical
+   equality. *)
+type memo = (Ir.Loop.t * Ddg.Graph.t * Diag.t list) list ref
+
+let memo () = ref []
+
+let analysis_check ?obs ?memo ?ddg ~latency body =
+  match (memo, ddg) with
+  | Some memo, Some ddg -> (
+      match List.find_opt (fun (b, d, _) -> b == body && d == ddg) !memo with
+      | Some (_, _, diags) -> diags
+      | None ->
+          let diags = Analysis_check.check ?obs ~ddg ~latency body in
+          memo := (body, ddg, diags) :: !memo;
+          diags)
+  | _ -> Analysis_check.check ?obs ?ddg ~latency body
+
+let run ?obs ?memo ?source_ddg s =
   let ir = Ir_check.loop s.loop in
   let ideal =
     match s.ideal with
@@ -46,24 +63,31 @@ let run ?obs s =
   (* Independent dataflow analysis last: it validates the DDGs the other
      stages were driven by, so its findings read as a postscript on them.
      The source loop is always checked (against the ideal-schedule DDG
-     when present, a freshly built one otherwise); the copy-carrying
-     rewritten body is checked against the clustered DDG. Copy insertion
-     preserves op ids, so a finding on an untouched op (a dead chain,
-     say) would repeat verbatim in the second pass — collapse exact
-     duplicates, keeping first-occurrence order. *)
+     when present, then [source_ddg], then a freshly built one); the
+     copy-carrying rewritten body is checked against the clustered DDG.
+     Copy insertion preserves op ids, so a finding on an untouched op (a
+     dead chain, say) would repeat verbatim in the second pass — collapse
+     exact duplicates, keeping first-occurrence order. *)
   let latency = s.machine.Mach.Machine.latency in
   let analysis =
+    let source_ddg = match s.ideal with Some (ddg, _) -> Some ddg | None -> source_ddg in
     let both =
-      Analysis_check.check ?obs ?ddg:(Option.map fst s.ideal) ~latency s.loop
+      analysis_check ?obs ?memo ?ddg:source_ddg ~latency s.loop
       @
-      match (s.partition, s.clustered) with
-      | Some (_, rewritten), Some (ddg, _) ->
-          Analysis_check.check ?obs ~ddg ~latency rewritten
-      | Some (_, rewritten), None -> Analysis_check.check ?obs ~latency rewritten
-      | None, _ -> []
+      match s.partition with
+      | Some (_, rewritten) ->
+          analysis_check ?obs ?memo ?ddg:(Option.map fst s.clustered) ~latency rewritten
+      | None -> []
     in
-    List.fold_left (fun acc d -> if List.mem d acc then acc else d :: acc) [] both
-    |> List.rev
+    let seen = Hashtbl.create 16 in
+    List.filter
+      (fun d ->
+        if Hashtbl.mem seen d then false
+        else begin
+          Hashtbl.add seen d ();
+          true
+        end)
+      both
   in
   ir @ ideal @ partition @ clustered @ alloc @ analysis
 

@@ -44,12 +44,28 @@ val stages : machine:Mach.Machine.t -> Ir.Loop.t -> stages
 (** A stage set holding only the source loop; fill fields in as the
     pipeline produces them. *)
 
-val run : ?obs:Obs.Trace.t -> stages -> Diag.t list
+type memo
+(** {!Analysis_check} results, keyed on the physical (body, DDG) pair
+    they were computed from. *)
+
+val memo : unit -> memo
+(** An empty memo. One memo serves one set of artifacts that do not
+    change while it lives, e.g. one run of a fallback ladder. *)
+
+val run : ?obs:Obs.Trace.t -> ?memo:memo -> ?source_ddg:Ddg.Graph.t -> stages -> Diag.t list
 (** Every applicable analyzer over every present artifact, in pipeline
     order, ending with the independent dataflow analysis
     ({!Analysis_check}): the source loop is validated against the ideal
-    DDG (or a freshly built one), the rewritten body against the
-    clustered DDG. [obs] feeds the [analysis.*] counters. *)
+    DDG (else [source_ddg], else a freshly built one), the rewritten
+    body against the clustered DDG (else a freshly built one).
+    [source_ddg] hands in the source DDG without the ideal stage's
+    kernel checks.
+
+    With [memo], a dataflow check of a body against a handed-in DDG is
+    looked up by physical identity before it is run, and stored after:
+    a caller verifying the same artifacts twice pays for the analysis
+    once. The diagnostics are those of a run without [memo]. [obs]
+    feeds the [analysis.*] counters, for the checks actually run. *)
 
 val verdict : Diag.t list -> (unit, string) Stdlib.result
 (** [Ok ()] when no error-severity diagnostic is present, otherwise an

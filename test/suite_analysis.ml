@@ -303,10 +303,124 @@ let wiring_tests =
         | Error _ -> false);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dense reaching definitions against the map-based reference          *)
+(* ------------------------------------------------------------------ *)
+
+(* The original formulation, kept here as the oracle: each fact a map
+   from register to (def op id -> minimum distance). *)
+module Reachdef_ref = struct
+  module Defs = struct
+    module IdMap = Map.Make (Int)
+
+    type t = int IdMap.t
+
+    let bottom = IdMap.empty
+    let equal a b = IdMap.equal ( = ) a b
+    let join a b = IdMap.union (fun _ da db -> Some (min da db)) a b
+    let widen ~old ~next = join old next
+    let pp fmt m = IdMap.iter (fun id d -> Format.fprintf fmt "op%d@%d " id d) m
+    let age m = IdMap.map (fun d -> min (d + 1) Analysis.Reachdef.dist_cap) m
+  end
+
+  module D = Analysis.Lattice.VregMap (Defs)
+
+  (* The fact at each position's entry, and the solve's stats. *)
+  let of_loop loop =
+    let arr = Array.of_list (Ir.Loop.ops loop) in
+    let n = Array.length arr in
+    let module P = struct
+      module D = D
+
+      let transfer i fact =
+        List.fold_left
+          (fun fact d -> Ir.Vreg.Map.add d (Defs.IdMap.singleton (Ir.Op.id arr.(i)) 0) fact)
+          fact (Ir.Op.defs arr.(i))
+
+      let edge ~src ~dst fact =
+        if src = n - 1 && dst = 0 then Ir.Vreg.Map.map Defs.age fact else fact
+    end in
+    let module S = Analysis.Solver.Make (P) in
+    let r = S.solve ~nodes:n ~edges:(Analysis.Solver.ring n) ~init:(fun _ -> D.bottom) () in
+    (r.S.input, r.S.stats)
+
+  let reaching before ~pos r = Defs.IdMap.bindings (D.find r before.(pos))
+end
+
+(* Equal stats, and equal [reaching] lists for every register the body
+   mentions (plus one it does not) at every position. *)
+let reachdef_against_reference loop =
+  let rd = Analysis.Reachdef.of_loop loop in
+  let before, stats = Reachdef_ref.of_loop loop in
+  let ops = Ir.Loop.ops loop in
+  let regs =
+    Ir.Vreg.Set.elements
+      (Ir.Vreg.Set.add (vreg 100_000)
+         (Ir.Vreg.Set.of_list (List.concat_map (fun o -> Ir.Op.defs o @ Ir.Op.uses o) ops)))
+  in
+  let show l = String.concat " " (List.map (fun (id, d) -> Printf.sprintf "%d@%d" id d) l) in
+  let stats_str (st : Analysis.Solver.stats) =
+    Printf.sprintf "%d iterations, %d widenings, converged %b" st.Analysis.Solver.iterations
+      st.Analysis.Solver.widenings st.Analysis.Solver.converged
+  in
+  if Analysis.Reachdef.stats rd <> stats then
+    Error
+      (Printf.sprintf "stats: %s, reference %s" (stats_str (Analysis.Reachdef.stats rd))
+         (stats_str stats))
+  else
+    List.fold_left
+      (fun acc pos ->
+        List.fold_left
+          (fun acc r ->
+            match acc with
+            | Error _ -> acc
+            | Ok () ->
+                let got = Analysis.Reachdef.reaching rd ~pos r
+                and want = Reachdef_ref.reaching before ~pos r in
+                if got = want then Ok ()
+                else
+                  Error
+                    (Printf.sprintf "%s at position %d: [%s], reference [%s]"
+                       (Ir.Vreg.to_string r) pos (show got) (show want)))
+          acc regs)
+      (Ok ())
+      (List.init (List.length ops) Fun.id)
+
+let check_reachdef name loop =
+  match reachdef_against_reference loop with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let reachdef_oracle_tests =
+  [
+    case "suite-bodies" (fun () ->
+        List.iter (fun loop -> check_reachdef (Ir.Loop.name loop) loop) (Workload.Suite.loops ()));
+    slow_case "rewritten-bodies" (fun () ->
+        List.iter
+          (fun loop ->
+            List.iter
+              (fun (cfg : Core.Experiment.config) ->
+                match Partition.Driver.pipeline ~machine:cfg.machine loop with
+                | Error e ->
+                    Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
+                | Ok r ->
+                    check_reachdef
+                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
+                      r.Partition.Driver.rewritten)
+              Core.Experiment.paper_configs)
+          (Workload.Suite.loops ()));
+    qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor -> reachdef_against_reference (fst (Ir.Unroll.loop ~factor loop)) = Ok ())
+          [ 1; 4 ]);
+  ]
+
 let suite =
   [
     ("analysis.solver", solver_tests);
     ("analysis.liveness", liveness_tests);
     ("analysis.depan", reachdef_tests);
     ("analysis.wiring", wiring_tests);
+    ("analysis.reachdef-ref", reachdef_oracle_tests);
   ]

@@ -398,6 +398,80 @@ let synthetic_trial outcome =
     outcome;
   }
 
+(* The ladder's final verification reuses the dataflow checks of its
+   fail-fast check; what it reports must still be what a fresh
+   verification of the emitted artifacts finds. *)
+let same_as_oracle label r =
+  check
+    Alcotest.(list string)
+    label
+    (List.map Verify.Diag.to_string (Robust.Driver.verify_diags r))
+    (List.map Verify.Diag.to_string r.Robust.Driver.diags)
+
+let verify_once_tests =
+  [
+    slow_case "suite-loop-i-on-config-i-mod-6" (fun () ->
+        (* the (loop, configuration) pairs of the service benchmark *)
+        let configs = Array.of_list Core.Experiment.paper_configs in
+        List.iteri
+          (fun i loop ->
+            let c = configs.(i mod Array.length configs) in
+            let label = Ir.Loop.name loop ^ " on " ^ c.Core.Experiment.label in
+            same_as_oracle label (expect_ok label (run ~machine:c.Core.Experiment.machine loop)))
+          (Workload.Suite.loops ()));
+    case "findings-of-both-bodies" (fun () ->
+        (* A dead chain: the source loop and each copy-rewritten body
+           have different AN006 findings, so a check answered for the
+           wrong body would show. *)
+        let loop =
+          match
+            Ir.Parse.loop_of_string
+              "loop deadchain depth 1 trip 100\n\
+              \  load.f x0, x[1*i]\n\
+              \  load.f y0, y[1*i]\n\
+              \  mul.f t0, x0, y0\n\
+              \  add.f t1, t0, t0\n\
+              \  add.f s0, x0, y0\n\
+              \  store.f z[1*i], s0\n"
+          with
+          | Ok l -> l
+          | Error msg -> Alcotest.fail msg
+        in
+        let copy_findings =
+          List.concat_map
+            (fun (c : Core.Experiment.config) ->
+              let r = expect_ok c.label (run ~machine:c.machine loop) in
+              same_as_oracle c.label r;
+              List.filter
+                (fun (d : Verify.Diag.t) ->
+                  d.Verify.Diag.code = "AN006"
+                  && contains (Option.value ~default:"" d.Verify.Diag.loc) "copy")
+                r.Robust.Driver.diags)
+            Core.Experiment.paper_configs
+        in
+        check Alcotest.bool "a rewritten body's own AN006 is reported" true (copy_findings <> []));
+    case "memo-keys-on-body-and-ddg" (fun () ->
+        let loop = Workload.Kernels.daxpy ~unroll:2 in
+        let ddg_of l = Ddg.Graph.of_loop ~latency:m4x4e.Mach.Machine.latency l in
+        let own = ddg_of loop and foreign = ddg_of (Workload.Kernels.dot ~unroll:2) in
+        let stages = Verify.Pipeline.stages ~machine:m4x4e loop in
+        let verify ?memo ddg =
+          List.map Verify.Diag.to_string (Verify.Pipeline.run ?memo ~source_ddg:ddg stages)
+        in
+        let memo = Verify.Pipeline.memo () in
+        check Alcotest.(list string) "own DDG" (verify own) (verify ~memo own);
+        check Alcotest.(list string) "same body, another DDG" (verify foreign)
+          (verify ~memo foreign);
+        check Alcotest.bool "which the check rejects" true (verify foreign <> verify own));
+    case "respilled-body-is-reanalysed" (fun () ->
+        let r = expect_ok "hydro" (run ~machine:tight2 (Workload.Kernels.hydro ~unroll:2)) in
+        (match r.Robust.Driver.rung with
+        | Robust.Driver.Pipelined { respilled; _ } ->
+            check Alcotest.bool "respilled" true respilled
+        | rung -> Alcotest.failf "wrong rung: %s" (Robust.Driver.rung_name rung));
+        same_as_oracle "hydro-u2 on tight2" r);
+  ]
+
 let stress_tests =
   [
     slow_case "fuzz-200-trials-raise-free-and-verified" (fun () ->
@@ -461,5 +535,6 @@ let suite =
     ("robust.equivalence", pipeline_equivalence_tests);
     ("robust.deadline", deadline_tests);
     ("robust.inject", inject_tests);
+    ("robust.verify-once", verify_once_tests);
     ("robust.stress", stress_tests);
   ]
