@@ -3,7 +3,7 @@
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
-        trace-digest trace-digest-check analyze-digest-check
+        trace-digest trace-digest-check analyze-digest-check exact-digest-check
 
 all: build
 
@@ -44,6 +44,14 @@ analyze:
 # (sh tools/analyze_digest.sh > tools/analyze_digest.expected) and says why.
 analyze-digest-check: build
 	sh tools/analyze_digest.sh | diff -u tools/analyze_digest.expected -
+
+# The search gate: the MD5s of `rbp exact -v` (embedded and copy-unit)
+# and of two budget-exhausted single-loop reports (nodes, leaves, pruned
+# and backjumps) must equal tools/exact_digest.expected. A change that
+# moves a search decision on purpose regenerates that file
+# (sh tools/exact_digest.sh > tools/exact_digest.expected) and says why.
+exact-digest-check: build
+	sh tools/exact_digest.sh | diff -u tools/exact_digest.expected -
 
 # Deterministic fault-injection sweep through the resilient driver:
 # 200 seeded trials, Verify as the oracle. Exit 0 = every trial either

@@ -602,10 +602,21 @@ let report_cmd =
 (* exact                                                               *)
 
 let exact_cmd =
+  (* A negative budget would stop the search before its first node and
+     still be reported (and written to --json) as a budget, so it is a
+     usage error; 0 stays valid and evaluates only the seeds. *)
   let budget_arg =
+    let non_negative =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected a node budget of at least 0, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
     Arg.(
       value
-      & opt int Exact.Solve.default_budget
+      & opt non_negative Exact.Solve.default_budget
       & info [ "budget" ] ~docv:"NODES"
           ~doc:
             "Branch-and-bound node budget per loop. Node counts are deterministic, so \
@@ -709,8 +720,13 @@ let exact_cmd =
         let s = e.Exact.Gap.solve in
         Printf.printf "=== %s on %s ===\n" e.Exact.Gap.loop_name
           machine.Mach.Machine.name;
+        (* The AN008 set, from the same call [rbp explain] lists: solver
+           cost context and narrative cite one remat set. *)
+        let remat =
+          Analysis.Valrange.remat_candidates loop (Analysis.Valrange.of_loop loop)
+        in
         Printf.printf "registers %d (slice limit %d), remat candidates %d\n"
-          s.Exact.Solve.n_regs Exact.Solve.slice_max_vregs s.Exact.Solve.remat;
+          s.Exact.Solve.n_regs Exact.Solve.slice_max_vregs (List.length remat);
         if e.Exact.Gap.greedy_ii > 0 then
           Printf.printf "greedy  II %d, %d copies\n" e.Exact.Gap.greedy_ii
             e.Exact.Gap.greedy_copies

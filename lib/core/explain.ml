@@ -60,8 +60,9 @@ let narrative t =
   section "cross-bank copies" copies ~empty:"(none needed)";
   section "clustered modulo scheduling" sched_clustered ~empty:"scheduled at MII, first try";
   if alloc <> [] then section "register allocation" alloc ~empty:"";
-  (* The AN008 set, from the same analysis call the exact solver counts —
-     narrative and solver cite one remat set, not two approximations. *)
+  (* The AN008 set, from the same analysis call whose size [rbp exact LOOP]
+     prints — narrative and solver report cite one remat set, not two
+     approximations. *)
   let remat =
     Analysis.Valrange.remat_candidates r.Partition.Driver.loop
       (Analysis.Valrange.of_loop r.Partition.Driver.loop)

@@ -9,7 +9,7 @@
       scheduler's II escalations and eviction chains, and the
       rematerializable-value set ({!Analysis.Valrange.remat_candidates},
       the AN008 family) that bounds how many copies could be avoided by
-      recomputation — the same set the exact solver reports;
+      recomputation — the same set whose size [rbp exact LOOP] reports;
     - {!dot}: the RCG as Graphviz DOT with nodes colored by final bank;
     - {!reservation_table}: the clustered kernel as an ASCII modulo
       reservation table (slot × cluster).

@@ -4,36 +4,38 @@ let res_mii ~width n_ops =
   if width <= 0 then invalid_arg "Minii.res_mii: width must be positive";
   max 1 (div_ceil (max n_ops 0) width)
 
+(* Runs at every node of the exact search, so the per-cluster maximum is
+   taken in one allocation-free loop. *)
 let res_mii_clustered ~machine ~ops_per_cluster ~copies_per_cluster =
   let m : Mach.Machine.t = machine in
   if Array.length ops_per_cluster <> m.clusters || Array.length copies_per_cluster <> m.clusters
   then invalid_arg "Minii.res_mii_clustered: array length mismatch";
-  let per_cluster c =
-    match m.copy_model with
-    | Mach.Machine.Embedded ->
-        div_ceil (ops_per_cluster.(c) + copies_per_cluster.(c)) m.fus_per_cluster
-    | Mach.Machine.Copy_unit ->
-        let fu_bound = div_ceil ops_per_cluster.(c) m.fus_per_cluster in
-        let port_bound =
-          if copies_per_cluster.(c) = 0 then 1
-          else if m.copy_ports = 0 then max_int / 2
-          else div_ceil copies_per_cluster.(c) m.copy_ports
-        in
-        max fu_bound port_bound
-  in
-  let cluster_bound =
-    Array.to_list (Array.init m.clusters per_cluster) |> List.fold_left max 1
-  in
+  let bound = ref 1 and total_copies = ref 0 in
+  for c = 0 to m.clusters - 1 do
+    let ops = ops_per_cluster.(c) and copies = copies_per_cluster.(c) in
+    total_copies := !total_copies + copies;
+    let per_cluster =
+      match m.copy_model with
+      | Mach.Machine.Embedded -> div_ceil (ops + copies) m.fus_per_cluster
+      | Mach.Machine.Copy_unit ->
+          let port_bound =
+            if copies = 0 then 1
+            else if m.copy_ports = 0 then max_int / 2
+            else div_ceil copies m.copy_ports
+          in
+          Int.max (div_ceil ops m.fus_per_cluster) port_bound
+    in
+    bound := Int.max !bound per_cluster
+  done;
   match m.copy_model with
-  | Mach.Machine.Embedded -> cluster_bound
+  | Mach.Machine.Embedded -> !bound
   | Mach.Machine.Copy_unit ->
-      let total_copies = Array.fold_left ( + ) 0 copies_per_cluster in
       let bus_bound =
-        if total_copies = 0 then 1
+        if !total_copies = 0 then 1
         else if m.busses = 0 then max_int / 2
-        else div_ceil total_copies m.busses
+        else div_ceil !total_copies m.busses
       in
-      max cluster_bound bus_bound
+      Int.max !bound bus_bound
 
 let upper_bound ddg =
   1 + List.fold_left (fun acc op -> acc + Graph.latency_of ddg op) 0 (Graph.ops_in_order ddg)

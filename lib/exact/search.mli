@@ -18,7 +18,14 @@
       that already saturate the binding resource, the pairs that already
       reach the incumbent's copy count) names the deepest register it
       mentions; if that is above the current branching depth, every
-      sibling value in between is skipped and the search resumes there;
+      sibling value in between is skipped and the search resumes there.
+      The contributions are kept as count rows indexed by depth + 1
+      (register-free ops at depth -1): one row per cluster for its
+      pinned ops, one per cluster for the pairs into it, and one for all
+      pairs. An assignment bumps its rows and its undo lowers them, and
+      forced pairs live in a flat (register, cluster) array with an undo
+      trail, so a certificate's k-th smallest depth is a prefix scan of
+      at most [n + 1] buckets and a node allocates nothing;
     - {b leaf short-circuit}: at a full assignment the recurrence
       analysis (a binary search over the rebuilt DDG) is skipped when
       copy insertion and the resource bound alone already lose to the

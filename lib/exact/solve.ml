@@ -9,7 +9,6 @@ type t = {
   best_copies : int;
   stats : Search.stats;
   diags : Verify.Diag.t list;
-  remat : int;
   n_regs : int;
 }
 
@@ -49,7 +48,6 @@ let solve ?(budget = default_budget) ?cancel ?seed_assignment ~machine loop =
     | Ok w -> Some w
     | Error _ -> None
   in
-  let remat = List.length (Analysis.Valrange.remat_candidates loop (Analysis.Valrange.of_loop loop)) in
   let finish status diags =
     {
       status;
@@ -57,7 +55,6 @@ let solve ?(budget = default_budget) ?cancel ?seed_assignment ~machine loop =
       best_copies = o.Search.best_copies;
       stats = o.Search.stats;
       diags;
-      remat;
       n_regs = sp.Space.n;
     }
   in

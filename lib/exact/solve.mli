@@ -34,13 +34,13 @@ type t = {
   stats : Search.stats;
   diags : Verify.Diag.t list;
       (** witness-validation findings (empty when no witness realized) *)
-  remat : int;
-      (** rematerializable ops in the original body
-          ({!Analysis.Valrange.remat_candidates}, the AN008 set) — the
-          same count [rbp explain] cites, so solver cost context and
-          narrative agree on one remat set *)
   n_regs : int;        (** decision variables (symbolic registers) *)
 }
+(** The remat-candidate count [rbp exact LOOP] prints next to a solve is
+    not part of it, since the search never reads it: the CLI computes it
+    as {!Analysis.Valrange.remat_candidates} of the original body, the
+    AN008 set [rbp explain] lists, so solver report and narrative cite
+    one remat set. *)
 
 val default_budget : int
 (** Search-node budget per loop (deterministic, machine-independent):
