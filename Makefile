@@ -3,7 +3,8 @@
 .PHONY: all build test bench bench-json bench-baseline perfdiff report check-report doc \
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
-        trace-digest trace-digest-check analyze-digest-check exact-digest-check
+        trace-digest trace-digest-check analyze-digest-check exact-digest-check \
+        alloc-digest-check
 
 all: build
 
@@ -52,6 +53,15 @@ analyze-digest-check: build
 # (sh tools/exact_digest.sh > tools/exact_digest.expected) and says why.
 exact-digest-check: build
 	sh tools/exact_digest.sh | diff -u tools/exact_digest.expected -
+
+# The allocation gate: the MD5s of `rbp alloc` (rounds, spills, per-bank
+# pressure and the full register mapping) over every suite loop on
+# 2x8/4x4/8x2 at 32 and at 3 registers per bank must equal
+# tools/alloc_digest.expected. A change that moves an allocation on
+# purpose regenerates that file
+# (sh tools/alloc_digest.sh > tools/alloc_digest.expected) and says why.
+alloc-digest-check: build
+	sh tools/alloc_digest.sh | diff -u tools/alloc_digest.expected -
 
 # Deterministic fault-injection sweep through the resilient driver:
 # 200 seeded trials, Verify as the oracle. Exit 0 = every trial either

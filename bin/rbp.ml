@@ -734,8 +734,11 @@ let exact_cmd =
         print_status s
     | None ->
         (* Slice mode: the gap study over every tractable suite loop and
-           the paper's three geometries. *)
-        let geos = Exact.Gap.run ~budget ~cancel ~jobs:(effective_jobs jobs) ~seed ~n () in
+           the paper's three geometries under the chosen copy model; the
+           geometries fix the cluster count, so -c plays no part. *)
+        let geos =
+          Exact.Gap.run ~budget ~cancel ~jobs:(effective_jobs jobs) ~seed ~n ~copy_model:model ()
+        in
         let slice_n =
           match geos with g :: _ -> List.length g.Exact.Gap.entries | [] -> 0
         in
@@ -797,8 +800,9 @@ let exact_cmd =
          "Prove optimal II and bank assignment by branch-and-bound. With a $(i,LOOP): \
           solve that loop on one machine and print the (verified) claim. Without: run \
           the greedy-vs-optimal gap study over every suite loop small enough for \
-          exhaustive search, on the paper's three geometries (Table 3 of $(b,rbp \
-          report))")
+          exhaustive search, on the paper's three geometries under the $(b,--model) \
+          copy model (Table 3 of $(b,rbp report) is the embedded one); $(b,--clusters) \
+          is ignored without a $(i,LOOP).")
     Term.(
       const run $ seed_arg $ opt_loop_arg $ clusters_arg $ model_arg $ budget_arg
       $ deadline_ms_arg $ suite_size_arg $ jobs_arg $ verbose_arg $ json_arg)

@@ -1,52 +1,100 @@
+module Bits = Util.Bitrow
+
 type t = {
-  before : Ir.Vreg.Set.t array;
-  after : Ir.Vreg.Set.t array;
+  regs : Ir.Vreg.Dense.t;
+  before : Bits.t array;
+  after : Bits.t array;
   stats : Solver.stats;
 }
 
-let set_of l = List.fold_left (fun s r -> Ir.Vreg.Set.add r s) Ir.Vreg.Set.empty l
-
 (* Backward liveness as a forward problem on the reversed ring: solver
    node i's input is the live set *after* op i, its output the live set
-   *before* op i. *)
+   *before* op i. Facts are bit rows over the body's registers (those of
+   the ops and of [live_out]) numbered in [Ir.Vreg.compare] order: the
+   powerset lattice, so the solver visits the nodes exactly as over
+   register sets and returns the same stats. *)
 let of_ops ops ~live_out =
   let arr = Array.of_list ops in
   let n = Array.length arr in
+  let regs =
+    Ir.Vreg.Dense.of_iter (fun f ->
+        Ir.Vreg.Set.iter f live_out;
+        Array.iter
+          (fun op ->
+            List.iter f (Ir.Op.defs op);
+            List.iter f (Ir.Op.uses op))
+          arr)
+  in
+  let size = Ir.Vreg.Dense.size regs in
+  let row_of l =
+    let row = Bits.create size in
+    List.iter (fun r -> Bits.add row (Ir.Vreg.Dense.find regs r)) l;
+    row
+  in
+  let defs = Array.map (fun op -> row_of (Ir.Op.defs op)) arr in
+  let uses = Array.map (fun op -> row_of (Ir.Op.uses op)) arr in
+  let words = Bits.words size in
   let module P = struct
-    module D = Lattice.VregSet
+    module D = struct
+      type t = Bits.t
+
+      let bottom = Bits.create size
+      let equal (a : t) b = a = b
+
+      let join a b =
+        if a == bottom then b
+        else if b == bottom then a
+        else Array.init words (fun w -> a.(w) lor b.(w))
+
+      let widen ~old ~next = join old next (* finite height *)
+
+      let pp fmt row =
+        let names = ref [] in
+        Bits.iter (fun k -> names := Ir.Vreg.to_string (Ir.Vreg.Dense.reg regs k) :: !names) row;
+        Format.fprintf fmt "{%s}" (String.concat ", " (List.rev !names))
+    end
 
     let transfer i after =
-      let op = arr.(i) in
-      Ir.Vreg.Set.union (set_of (Ir.Op.uses op))
-        (Ir.Vreg.Set.diff after (set_of (Ir.Op.defs op)))
+      let d = defs.(i) and u = uses.(i) in
+      Array.init words (fun w -> u.(w) lor (after.(w) land lnot d.(w)))
 
     let edge ~src:_ ~dst:_ d = d
   end in
   let module S = Solver.Make (P) in
   let r =
     S.solve ~nodes:n ~edges:(Solver.ring_rev n)
-      ~init:(fun i -> if i = n - 1 then live_out else Ir.Vreg.Set.empty)
+      ~init:(fun i -> if i = n - 1 then row_of (Ir.Vreg.Set.elements live_out) else P.D.bottom)
       ()
   in
-  { before = r.S.output; after = r.S.input; stats = r.S.stats }
+  { regs; before = r.S.output; after = r.S.input; stats = r.S.stats }
 
 let of_loop loop = of_ops (Ir.Loop.ops loop) ~live_out:(Ir.Loop.live_out loop)
 
+let set_of t row =
+  let s = ref Ir.Vreg.Set.empty in
+  Bits.iter (fun k -> s := Ir.Vreg.Set.add (Ir.Vreg.Dense.reg t.regs k) !s) row;
+  !s
+
+let live_before t i = set_of t t.before.(i)
+let live_after t i = set_of t t.after.(i)
+
 let max_live t =
   let m = ref 0 in
-  Array.iter (fun s -> m := max !m (Ir.Vreg.Set.cardinal s)) t.before;
-  Array.iter (fun s -> m := max !m (Ir.Vreg.Set.cardinal s)) t.after;
+  Array.iter (fun s -> m := max !m (Bits.cardinal s)) t.before;
+  Array.iter (fun s -> m := max !m (Bits.cardinal s)) t.after;
   !m
 
 let per_bank_max_live t ~banks ~bank_of =
-  let peaks = Array.make (max banks 0) 0 in
-  let count s =
-    let here = Array.make (max banks 0) 0 in
-    Ir.Vreg.Set.iter
-      (fun r ->
-        let b = bank_of r in
+  let banks = max banks 0 in
+  let bank = Array.init (Ir.Vreg.Dense.size t.regs) (fun k -> bank_of (Ir.Vreg.Dense.reg t.regs k)) in
+  let peaks = Array.make banks 0 and here = Array.make banks 0 in
+  let count row =
+    Array.fill here 0 banks 0;
+    Bits.iter
+      (fun k ->
+        let b = bank.(k) in
         if b >= 0 && b < banks then here.(b) <- here.(b) + 1)
-      s;
+      row;
     Array.iteri (fun b c -> peaks.(b) <- max peaks.(b) c) here
   in
   Array.iter count t.before;
@@ -72,7 +120,7 @@ let dead_ops ?live loop =
           removable op
           &&
           match Ir.Op.dst op with
-          | Some d -> not (Ir.Vreg.Set.mem d l.after.(i))
+          | Some d -> not (Bits.mem l.after.(i) (Ir.Vreg.Dense.find l.regs d))
           | None -> false)
         ops
     in

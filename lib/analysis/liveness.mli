@@ -3,10 +3,17 @@
     The loop body is a ring: the value read by a use with no preceding
     def in the body is the previous iteration's last def, so liveness
     must close over the back edge. The analysis is the {!Solver}
-    instance over the {!Lattice.VregSet} domain on the reversed ring,
-    with the declared [live_out] (plus nothing else — carried and
+    instance over the powerset of the body's registers on the reversed
+    ring, with the declared [live_out] (plus nothing else — carried and
     invariant registers emerge from the fixpoint) injected at the
     bottom of the body.
+
+    Facts are dense: the registers of the ops and of [live_out] are
+    numbered once, in [Ir.Vreg.compare] order, and each fact is a
+    {!Util.Bitrow} over those numbers. The lattice is the powerset
+    ({!Lattice.VregSet} under a renaming), so the solver visits the
+    nodes exactly as over register sets and reports the same
+    {!Solver.stats}.
 
     The fixpoint equals the seeded single-pass answer of
     [Regalloc.Liveness.backward] (a qcheck property pins this), but is
@@ -21,8 +28,9 @@
     item 5 consumes. *)
 
 type t = {
-  before : Ir.Vreg.Set.t array;  (** live registers just before op [i] *)
-  after : Ir.Vreg.Set.t array;  (** live registers just after op [i] *)
+  regs : Ir.Vreg.Dense.t;  (** the body's registers, numbered *)
+  before : Util.Bitrow.t array;  (** live registers just before op [i] *)
+  after : Util.Bitrow.t array;  (** live registers just after op [i] *)
   stats : Solver.stats;
 }
 
@@ -31,6 +39,11 @@ val of_loop : Ir.Loop.t -> t
 val of_ops : Ir.Op.t list -> live_out:Ir.Vreg.Set.t -> t
 (** The same fixpoint over a bare body with a declared bottom-of-body
     live-out set. *)
+
+val live_before : t -> int -> Ir.Vreg.Set.t
+(** The registers live just before op [i], as a set. *)
+
+val live_after : t -> int -> Ir.Vreg.Set.t
 
 val max_live : t -> int
 (** Maximum cardinality of any live set, over all program points. *)

@@ -48,15 +48,14 @@ let one ?budget ~cancel ~machine loop =
     solve;
   }
 
-let run ?budget ?(cancel = Engine.Cancel.never) ?(jobs = 1) ?seed ?n () =
+let run ?budget ?(cancel = Engine.Cancel.never) ?(jobs = 1) ?seed ?n
+    ?(copy_model = Mach.Machine.Embedded) () =
   let loops = Array.of_list (slice ?seed ?n ()) in
   let tasks =
     Array.concat
       (List.map
          (fun (_, clusters) ->
-           let machine =
-             Mach.Machine.paper_clustered ~clusters ~copy_model:Mach.Machine.Embedded
-           in
+           let machine = Mach.Machine.paper_clustered ~clusters ~copy_model in
            Array.map (fun loop () -> one ?budget ~cancel ~machine loop) loops)
          geometries)
   in
@@ -66,7 +65,10 @@ let run ?budget ?(cancel = Engine.Cancel.never) ?(jobs = 1) ?seed ?n () =
   List.mapi
     (fun gi (label, clusters) ->
       {
-        label;
+        label =
+          (match copy_model with
+          | Mach.Machine.Embedded -> label
+          | Mach.Machine.Copy_unit -> label ^ " copy-unit");
         clusters;
         entries = List.init per (fun li -> entry ((gi * per) + li));
       })

@@ -3,8 +3,8 @@
 
     Over a {e slice} of the suite — every loop with at most
     {!Solve.slice_max_vregs} symbolic registers, where exhaustive search
-    is tractable — and the paper's three geometries (2×8, 4×4, 8×2
-    under the embedded copy model), each loop is compiled twice: once
+    is tractable — and the paper's three geometries (2×8, 4×4, 8×2,
+    under the embedded copy model unless asked otherwise), each loop is compiled twice: once
     through the production greedy pipeline, once through the exact
     solver (warm-started with the greedy assignment). The per-geometry
     aggregation feeds Table 3 of [rbp report].
@@ -22,7 +22,9 @@ type entry = {
 }
 
 type geometry = {
-  label : string;       (** ["2x8"] — clusters × FUs per cluster *)
+  label : string;
+      (** ["2x8"] — clusters × FUs per cluster — under the embedded copy
+          model; ["2x8 copy-unit"] under the copy-unit model *)
   clusters : int;
   entries : entry list; (** slice order *)
 }
@@ -59,10 +61,13 @@ val run :
   ?jobs:int ->
   ?seed:int ->
   ?n:int ->
+  ?copy_model:Mach.Machine.copy_model ->
   unit ->
   geometry list
 (** One entry per (geometry, slice loop), solved with [budget] nodes
-    each (default {!Solve.default_budget}) across [jobs] workers. *)
+    each (default {!Solve.default_budget}) across [jobs] workers, on
+    the three geometries under [copy_model] (default: embedded, the
+    paper's Table 3). *)
 
 val row_of : geometry -> row
 

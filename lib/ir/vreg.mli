@@ -26,3 +26,24 @@ val pp : Format.formatter -> t -> unit
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 module Tbl : Hashtbl.S with type key = t
+
+(** A dense numbering of a finite set of registers: [0 .. size-1] in
+    [compare] order. The liveness analyses and the register allocator
+    number a body's registers once and then work on bit rows and arrays
+    indexed by number. *)
+module Dense : sig
+  type reg := t
+  type t
+
+  val of_iter : ((reg -> unit) -> unit) -> t
+  (** [of_iter iter] numbers every register [iter] yields (duplicates
+      are fine). [iter] is called twice. Of several records with one id,
+      the first yielded is the one {!reg} returns. *)
+
+  val size : t -> int
+  val reg : t -> int -> reg
+  (** The register numbered [k]. *)
+
+  val find : t -> reg -> int
+  (** The number of a register, or [-1] when it was not numbered. *)
+end

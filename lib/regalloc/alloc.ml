@@ -73,28 +73,24 @@ let allocate ?obs ?(max_rounds = 8) ?(subject = "code") ~machine ~assignment ~li
       else begin
         Obs.Trace.span obs "alloc.round" ~attrs:[ ("round", string_of_int n) ]
         @@ fun () ->
-        let pressure = Array.make banks 0 in
+        let bank_of r =
+          match Partition.Assign.bank_opt assignment r with Some b -> b | None -> -1
+        in
+        let graphs = Interference.build_banks ~banks ~bank_of (Liveness.dense ops ~live_out) in
+        let pressure = Array.map Interference.max_clique_lower_bound graphs in
         let results =
           List.init banks (fun b ->
-              let keep r = Partition.Assign.bank_opt assignment r = Some b in
-              let g = Interference.build_filtered ~keep ops ~live_out in
-              pressure.(b) <- Interference.max_clique_lower_bound g;
-              (match obs with
-              | None -> ()
-              | Some _ ->
-                  let regs = Interference.registers g in
-                  let edges =
-                    List.fold_left (fun acc r -> acc + Interference.degree g r) 0 regs / 2
-                  in
-                  Obs.Trace.emit obs
-                    (Obs.Events.Alloc_pressure
-                       {
-                         bank = b;
-                         round = n;
-                         pressure = pressure.(b);
-                         conflict_nodes = List.length regs;
-                         conflict_edges = edges;
-                       }));
+              let g = graphs.(b) in
+              if obs <> None then
+                Obs.Trace.emit obs
+                  (Obs.Events.Alloc_pressure
+                     {
+                       bank = b;
+                       round = n;
+                       pressure = pressure.(b);
+                       conflict_nodes = Interference.size g;
+                       conflict_edges = Interference.edge_count g;
+                     });
               (b, Color.color ~k g))
         in
         let spilled = List.concat_map (fun (_, (r : Color.result)) -> r.spilled) results in
@@ -175,15 +171,12 @@ let check ~machine t =
       regs (Ok ())
   in
   (* Interference re-check per bank on the final code. *)
-  let live_out = t.live_out in
-  List.fold_left
-    (fun acc b ->
+  let bank_of r = match Ir.Vreg.Map.find_opt r t.mapping with Some (b, _) -> b | None -> -1 in
+  let graphs =
+    Interference.build_banks ~banks:m.clusters ~bank_of (Liveness.dense t.code ~live_out:t.live_out)
+  in
+  Array.fold_left
+    (fun acc g ->
       let* () = acc in
-      let keep r = match Ir.Vreg.Map.find_opt r t.mapping with Some (b', _) -> b' = b | None -> false in
-      let g = Interference.build_filtered ~keep t.code ~live_out in
-      Color.check g
-        (Ir.Vreg.Map.filter_map
-           (fun _ (b', c) -> if b' = b then Some c else None)
-           t.mapping))
-    (Ok ())
-    (List.init m.clusters (fun b -> b))
+      Color.check g (Ir.Vreg.Map.map snd t.mapping))
+    (Ok ()) graphs

@@ -1,8 +1,6 @@
 type result = { colors : int Ir.Vreg.Map.t; spilled : Ir.Vreg.t list }
 
-let default_cost g r =
-  let d = max 1 (Interference.degree g r) in
-  float_of_int (Interference.occurrences g r) /. float_of_int d
+module G = Interference
 
 let color ?cost ?(precolored = Ir.Vreg.Map.empty) ~k g =
   if k < 1 then invalid_arg "Color.color: k must be >= 1";
@@ -12,53 +10,76 @@ let color ?cost ?(precolored = Ir.Vreg.Map.empty) ~k g =
         invalid_arg (Printf.sprintf "Color.color: precolour %d out of range for %s" c
                        (Ir.Vreg.to_string r)))
     precolored;
-  let cost = match cost with Some f -> f | None -> default_cost g in
-  let nodes = List.filter (fun r -> not (Ir.Vreg.Map.mem r precolored)) (Interference.registers g) in
-  let removed = Hashtbl.create 64 in
-  let live_degree r =
-    List.length
-      (List.filter (fun m -> not (Hashtbl.mem removed (Ir.Vreg.id m))) (Interference.neighbors g r))
+  let n = G.size g in
+  let colour = Array.make n (-1) in
+  Ir.Vreg.Map.iter
+    (fun r c -> match G.node g r with -1 -> () | v -> colour.(v) <- c)
+    precolored;
+  (* Simplify. [degree] counts each node's neighbours not yet removed;
+     precoloured nodes are never removed. Every remaining node before
+     [from] has degree >= k, so the scan for the first low-degree node
+     in node order starts there. *)
+  let degree = Array.init n (G.node_degree g) in
+  let removed = Array.make n false in
+  let stack = Array.make n 0 and pushed = ref 0 in
+  let remaining = ref 0 in
+  Array.iter (fun c -> if c < 0 then incr remaining) colour;
+  let waiting v = (not removed.(v)) && colour.(v) < 0 in
+  (* Chaitin's occurrences/degree (the static degree), unless overridden. *)
+  let spill_cost =
+    lazy
+      (Array.init n (fun v ->
+           match cost with
+           | Some f -> f (G.reg g v)
+           | None ->
+               float_of_int (G.node_occurrences g v) /. float_of_int (max 1 (G.node_degree g v))))
   in
-  let stack = ref [] in
-  let remaining = ref nodes in
-  while !remaining <> [] do
-    let low, high =
-      List.partition (fun r -> live_degree r < k) !remaining
+  let from = ref 0 in
+  while !remaining > 0 do
+    let scan = ref !from in
+    while !scan < n && not (waiting !scan && degree.(!scan) < k) do
+      incr scan
+    done;
+    let v =
+      if !scan < n then begin
+        from := !scan;
+        !scan
+      end
+      else begin
+        (* Optimistic push of the cheapest spill candidate: the first
+           strictly cheapest remaining node. *)
+        let cost = Lazy.force spill_cost and best = ref (-1) in
+        for u = 0 to n - 1 do
+          if waiting u && (!best < 0 || cost.(u) < cost.(!best)) then best := u
+        done;
+        from := n;
+        !best
+      end
     in
-    match low with
-    | r :: _ ->
-        Hashtbl.replace removed (Ir.Vreg.id r) ();
-        stack := r :: !stack;
-        remaining := List.filter (fun m -> not (Ir.Vreg.equal m r)) !remaining
-    | [] ->
-        (* Optimistic push of the cheapest spill candidate. *)
-        let victim =
-          List.fold_left
-            (fun best r ->
-              match best with
-              | None -> Some r
-              | Some b -> if cost r < cost b then Some r else best)
-            None high
-        in
-        (match victim with
-        | Some r ->
-            Hashtbl.replace removed (Ir.Vreg.id r) ();
-            stack := r :: !stack;
-            remaining := List.filter (fun m -> not (Ir.Vreg.equal m r)) !remaining
-        | None -> assert false)
+    removed.(v) <- true;
+    decr remaining;
+    stack.(!pushed) <- v;
+    incr pushed;
+    G.iter_neighbors g v (fun u ->
+        degree.(u) <- degree.(u) - 1;
+        if degree.(u) = k - 1 && u < !from then from := u)
   done;
-  (* Select phase. *)
-  let colors = ref precolored in
-  let spilled = ref [] in
-  List.iter
-    (fun r ->
-      let used =
-        List.filter_map (fun m -> Ir.Vreg.Map.find_opt m !colors) (Interference.neighbors g r)
-      in
-      let rec first_free c = if List.mem c used then first_free (c + 1) else c in
-      let c = first_free 0 in
-      if c < k then colors := Ir.Vreg.Map.add r c !colors else spilled := r :: !spilled)
-    !stack;
+  (* Select: pop the stack, lowest colour no coloured neighbour holds. *)
+  let taken = Array.make k (-1) in
+  let colors = ref precolored and spilled = ref [] in
+  for j = !pushed - 1 downto 0 do
+    let v = stack.(j) in
+    G.iter_neighbors g v (fun u -> if colour.(u) >= 0 then taken.(colour.(u)) <- v);
+    let c = ref 0 in
+    while !c < k && taken.(!c) = v do
+      incr c
+    done;
+    if !c < k then begin
+      colour.(v) <- !c;
+      colors := Ir.Vreg.Map.add (G.reg g v) !c !colors
+    end
+    else spilled := G.reg g v :: !spilled
+  done;
   { colors = !colors; spilled = List.rev !spilled }
 
 let check g colors =

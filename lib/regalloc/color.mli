@@ -9,8 +9,16 @@
     spills.
 
     Spill cost is Chaitin's occurrences/degree (cheap, frequently-used
-    registers are kept); {!Alloc} supplies depth-weighted occurrence
-    counts when allocating loops. *)
+    registers are kept); {!Alloc} colours with this default.
+
+    The order is fixed: simplify removes the first node in
+    [Ir.Vreg.compare] order whose degree among the nodes not yet
+    removed is below k, else pushes the first strictly cheapest node
+    (cost over its static degree); select pops the stack and takes the
+    lowest free colour. The graph's nodes are dense ({!Interference}),
+    so simplify keeps a live-degree counter per node, decremented for
+    each neighbour of a removed node, and resumes its scan at the
+    earliest node that could have dropped below k. *)
 
 type result = {
   colors : int Ir.Vreg.Map.t;  (** colour in [0, k) for every non-spilled node *)

@@ -1,17 +1,46 @@
-let def_use op =
-  let defs = List.fold_left (fun s r -> Ir.Vreg.Set.add r s) Ir.Vreg.Set.empty (Ir.Op.defs op) in
-  let uses = List.fold_left (fun s r -> Ir.Vreg.Set.add r s) Ir.Vreg.Set.empty (Ir.Op.uses op) in
-  (defs, uses)
+type dense = {
+  regs : Ir.Vreg.Dense.t;
+  ops : Ir.Op.t array;
+  defs : int array array;
+  uses : int array array;
+  before : Util.Bitrow.t array;
+}
+
+let dense ops ~live_out =
+  let ops = Array.of_list ops in
+  let regs =
+    Ir.Vreg.Dense.of_iter (fun f ->
+        Ir.Vreg.Set.iter f live_out;
+        Array.iter
+          (fun op ->
+            List.iter f (Ir.Op.defs op);
+            List.iter f (Ir.Op.uses op))
+          ops)
+  in
+  let number l = Array.of_list (List.map (Ir.Vreg.Dense.find regs) l) in
+  let defs = Array.map (fun op -> number (Ir.Op.defs op)) ops in
+  let uses = Array.map (fun op -> number (Ir.Op.uses op)) ops in
+  let n = Array.length ops in
+  let before = Array.make (n + 1) [||] in
+  let out = Util.Bitrow.create (Ir.Vreg.Dense.size regs) in
+  Ir.Vreg.Set.iter (fun r -> Util.Bitrow.add out (Ir.Vreg.Dense.find regs r)) live_out;
+  before.(n) <- out;
+  for i = n - 1 downto 0 do
+    let row = Array.copy before.(i + 1) in
+    Array.iter (Util.Bitrow.remove row) defs.(i);
+    Array.iter (Util.Bitrow.add row) uses.(i);
+    before.(i) <- row
+  done;
+  { regs; ops; defs; uses; before }
+
+let set_of d row =
+  let s = ref Ir.Vreg.Set.empty in
+  Util.Bitrow.iter (fun k -> s := Ir.Vreg.Set.add (Ir.Vreg.Dense.reg d.regs k) !s) row;
+  !s
 
 let backward ops ~live_out =
-  let arr = Array.of_list ops in
-  let n = Array.length arr in
-  let live = Array.make (n + 1) live_out in
-  for i = n - 1 downto 0 do
-    let defs, uses = def_use arr.(i) in
-    live.(i) <- Ir.Vreg.Set.union uses (Ir.Vreg.Set.diff live.(i + 1) defs)
-  done;
-  Array.sub live 0 n
+  let d = dense ops ~live_out in
+  Array.init (Array.length d.ops) (fun i -> set_of d d.before.(i))
 
 let live_in ops ~live_out =
   match backward ops ~live_out with

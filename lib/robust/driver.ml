@@ -81,8 +81,8 @@ let alloc_view (a : Regalloc.Alloc.t) =
 
 (* Every applicable analyzer over the result's artifacts. The ladder
    hands in its memo and the DDGs its fail-fast check used (the source
-   loop's and the emitted body's), so what that check already analysed
-   is not analysed again; without them everything is derived afresh. *)
+   loop's and the emitted body's), so what that check already checked
+   is not checked again; without them everything is derived afresh. *)
 let diags ?memo ?source_ddg ?ddg (r : result) =
   let m = r.machine in
   let ddg_r =
@@ -121,8 +121,8 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
   let budgets = if config.budget_schedule = [] then [ 10 ] else config.budget_schedule in
   let spill_rounds = if config.spill_rounds = [] then [ 8 ] else config.spill_rounds in
   let attempts = ref [] (* newest first *) in
-  (* Dataflow checks of this run's artifacts, shared by every rung's
-     fail-fast check and final verification. *)
+  (* Checks of this run's artifacts, shared by the up-front IR check,
+     every rung's fail-fast check and final verification. *)
   let memo = Verify.Pipeline.memo () in
   let log ?code ~rung stage detail =
     attempts := Verify.Stage_error.attempt ~rung ?code stage detail :: !attempts
@@ -235,7 +235,9 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
     let* () = guard Verify.Stage_error.Verification in
     (* The oracle has the final word regardless of which rung we came by:
        every analyzer runs over the emitted artifacts, and only the
-       dataflow checks of a body and DDG already analysed are reused. *)
+       checks of artifacts this run already checked (the source loop,
+       an unspilled rung's partition and kernel, a body and DDG already
+       analysed) are reused. *)
     let* diags = check (diags ~memo ~source_ddg ~ddg candidate) in
     Ok { candidate with diags; attempts = List.rev !attempts }
   in
@@ -350,7 +352,7 @@ let run ?obs ?(cancel = fun () -> false) ?(config = default_config) ?(hooks = no
       ~source_ddg:ddg ~rewritten ~ddg:ddg_r alloc
   in
   (* --- ladder execution ------------------------------------------- *)
-  let ir_diags = Verify.Ir_check.loop loop in
+  let ir_diags = Verify.Pipeline.ir_check ~memo loop in
   if Verify.Diag.has_errors ir_diags then
     (* Malformed input: fail cleanly with the analyzer's own code; no rung
        can repair the source body. *)

@@ -46,7 +46,26 @@ let mapping_shape ~machine ~assignment ~mapping regs =
    nothing else may be live in it just after the defining op (except a
    copy's own source, the coalescing exception). *)
 let conflicts ~mapping ~live_out ops =
-  let phys r = Ir.Vreg.Map.find_opt r mapping in
+  let live = Live.backward ops ~live_out in
+  let size = Ir.Vreg.Dense.size live.Live.regs in
+  let reg = Ir.Vreg.Dense.reg live.Live.regs in
+  (* Number the physical registers in use: [slot.(k)] is register k's,
+     or -1 when it has no mapping. *)
+  let phys = Array.init size (fun k -> Ir.Vreg.Map.find_opt (reg k) mapping) in
+  let slots = Hashtbl.create 16 in
+  let slot =
+    Array.map
+      (function
+        | None -> -1
+        | Some p -> (
+            match Hashtbl.find_opt slots p with
+            | Some s -> s
+            | None ->
+                let s = Hashtbl.length slots in
+                Hashtbl.add slots p s;
+                s))
+      phys
+  in
   let seen = Hashtbl.create 16 in
   let findings = ref [] in
   let conflict r1 r2 why =
@@ -61,45 +80,46 @@ let conflicts ~mapping ~live_out ops =
         :: !findings
     end
   in
-  let pairwise live =
-    let by_phys = Hashtbl.create 16 in
-    Ir.Vreg.Set.iter
-      (fun r ->
-        match phys r with
-        | None -> ()
-        | Some p ->
-            (match Hashtbl.find_opt by_phys p with
-            | Some r' ->
-                conflict r r'
-                  (Printf.sprintf "simultaneously live registers share bank %d register %d"
-                     (fst p) (snd p))
-            | None -> ());
-            Hashtbl.replace by_phys p r)
-      live
-  in
-  let sets = Live.backward ops ~live_out in
-  Array.iter pairwise sets;
+  (* At each point, the last register seen in each physical register:
+     [owner.(s)] is current when [stamp.(s)] is the point. *)
+  let owner = Array.make (Hashtbl.length slots) 0 in
+  let stamp = Array.make (Hashtbl.length slots) (-1) in
+  Array.iteri
+    (fun point row ->
+      Util.Bitrow.iter
+        (fun k ->
+          let s = slot.(k) in
+          if s >= 0 then begin
+            if stamp.(s) = point then begin
+              let b, i = Option.get phys.(k) in
+              conflict (reg k) (reg owner.(s))
+                (Printf.sprintf "simultaneously live registers share bank %d register %d" b i)
+            end;
+            stamp.(s) <- point;
+            owner.(s) <- k
+          end)
+        row)
+    live.Live.rows;
   List.iteri
     (fun i op ->
       match Ir.Op.dst op with
       | None -> ()
       | Some d -> (
-          match phys d with
+          let kd = Ir.Vreg.Dense.find live.Live.regs d in
+          match phys.(kd) with
           | None -> ()
-          | Some p ->
-              let after = sets.(i + 1) in
+          | Some (b, idx) ->
               let coalesced r =
                 Ir.Op.is_copy op && List.exists (Ir.Vreg.equal r) (Ir.Op.srcs op)
               in
-              Ir.Vreg.Set.iter
-                (fun r ->
-                  if (not (Ir.Vreg.equal r d)) && (not (coalesced r)) && phys r = Some p
-                  then
-                    conflict d r
+              Util.Bitrow.iter
+                (fun k ->
+                  if k <> kd && slot.(k) = slot.(kd) && not (coalesced (reg k)) then
+                    conflict d (reg k)
                       (Printf.sprintf
                          "definition at op %d clobbers bank %d register %d while it is live"
-                         (Ir.Op.id op) (fst p) (snd p)))
-                after))
+                         (Ir.Op.id op) b idx))
+                live.Live.rows.(i + 1)))
     ops;
   List.rev !findings
 

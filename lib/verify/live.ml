@@ -1,17 +1,38 @@
+module Bits = Util.Bitrow
+
+type t = { regs : Ir.Vreg.Dense.t; rows : Bits.t array }
+
 let backward ops ~live_out =
   let arr = Array.of_list ops in
   let n = Array.length arr in
-  let sets = Array.make (n + 1) live_out in
+  let regs =
+    Ir.Vreg.Dense.of_iter (fun f ->
+        Ir.Vreg.Set.iter f live_out;
+        Array.iter
+          (fun op ->
+            List.iter f (Ir.Op.defs op);
+            List.iter f (Ir.Op.uses op))
+          arr)
+  in
+  let num = Ir.Vreg.Dense.find regs in
+  let rows = Array.make (n + 1) [||] in
+  let out = Bits.create (Ir.Vreg.Dense.size regs) in
+  Ir.Vreg.Set.iter (fun r -> Bits.add out (num r)) live_out;
+  rows.(n) <- out;
+  (* live before = (live after - defs) + uses *)
   for i = n - 1 downto 0 do
     let op = arr.(i) in
-    let after = sets.(i + 1) in
-    let minus_defs =
-      List.fold_left (fun s d -> Ir.Vreg.Set.remove d s) after (Ir.Op.defs op)
-    in
-    sets.(i) <-
-      List.fold_left (fun s u -> Ir.Vreg.Set.add u s) minus_defs (Ir.Op.uses op)
+    let row = Array.copy rows.(i + 1) in
+    List.iter (fun d -> Bits.remove row (num d)) (Ir.Op.defs op);
+    List.iter (fun u -> Bits.add row (num u)) (Ir.Op.uses op);
+    rows.(i) <- row
   done;
-  sets
+  { regs; rows }
+
+let set t i =
+  let s = ref Ir.Vreg.Set.empty in
+  Bits.iter (fun k -> s := Ir.Vreg.Set.add (Ir.Vreg.Dense.reg t.regs k) !s) t.rows.(i);
+  !s
 
 let loop_live_out loop =
   let ops = Ir.Loop.ops loop in

@@ -127,20 +127,23 @@ let copy_minimality ~assignment ~original rewritten =
 let pressure ~machine ~assignment loop =
   let m : Mach.Machine.t = machine in
   let ops = Ir.Loop.ops loop in
-  let sets = Live.backward ops ~live_out:(Live.loop_live_out loop) in
+  let live = Live.backward ops ~live_out:(Live.loop_live_out loop) in
+  let bank =
+    Array.init (Ir.Vreg.Dense.size live.Live.regs) (fun k ->
+        match bank_of assignment (Ir.Vreg.Dense.reg live.Live.regs k) with
+        | Some b when Mach.Machine.valid_cluster m b -> b
+        | _ -> -1)
+  in
   let worst = Array.make m.clusters 0 in
+  let per_bank = Array.make m.clusters 0 in
   Array.iter
-    (fun live ->
-      let per_bank = Array.make m.clusters 0 in
-      Ir.Vreg.Set.iter
-        (fun r ->
-          match bank_of assignment r with
-          | Some b when Mach.Machine.valid_cluster m b ->
-              per_bank.(b) <- per_bank.(b) + 1
-          | _ -> ())
-        live;
+    (fun row ->
+      Array.fill per_bank 0 m.clusters 0;
+      Util.Bitrow.iter
+        (fun k -> if bank.(k) >= 0 then per_bank.(bank.(k)) <- per_bank.(bank.(k)) + 1)
+        row;
       Array.iteri (fun b n -> if n > worst.(b) then worst.(b) <- n) per_bank)
-    sets;
+    live.Live.rows;
   let findings = ref [] in
   Array.iteri
     (fun b n ->

@@ -16,25 +16,60 @@ type stages = {
 let stages ~machine loop =
   { machine; loop; ideal = None; partition = None; clustered = None; alloc = None }
 
-(* A few entries per ladder run, so a list searched by physical
-   equality. *)
-type memo = (Ir.Loop.t * Ddg.Graph.t * Diag.t list) list ref
+(* A few entries per ladder run, so lists searched by physical
+   equality of every key component. *)
+type 'k entries = ('k * Diag.t list) list ref
 
-let memo () = ref []
+type memo = {
+  ir : Ir.Loop.t entries;
+  partition : (Mach.Machine.t * int Ir.Vreg.Map.t * Ir.Loop.t * Ir.Loop.t) entries;
+  kernel : (Mach.Machine.t * Ddg.Graph.t * Sched.Kernel.t) entries;
+  analysis : (Ir.Loop.t * Ddg.Graph.t) entries;
+}
+
+let memo () = { ir = ref []; partition = ref []; kernel = ref []; analysis = ref [] }
+
+(* The diagnostics stored under a key [same] matches, else [check ()]'s,
+   stored under [key]. *)
+let cached entries key ~same check =
+  match List.find_opt (fun (k, _) -> same k key) !entries with
+  | Some (_, diags) -> diags
+  | None ->
+      let diags = check () in
+      entries := (key, diags) :: !entries;
+      diags
+
+let ir_check ?memo loop =
+  match memo with
+  | None -> Ir_check.loop loop
+  | Some memo -> cached memo.ir loop ~same:( == ) (fun () -> Ir_check.loop loop)
+
+let partition_check ?memo ~machine ~assignment ~original rewritten =
+  let check () = Partition_check.check ~machine ~assignment ~original rewritten in
+  match memo with
+  | None -> check ()
+  | Some memo ->
+      cached memo.partition (machine, assignment, original, rewritten) check
+        ~same:(fun (m, a, o, r) (m', a', o', r') -> m == m' && a == a' && o == o' && r == r')
+
+let kernel_check ?memo ~machine ~ddg kernel =
+  let check () = Sched_check.kernel ~machine ~ddg kernel in
+  match memo with
+  | None -> check ()
+  | Some memo ->
+      cached memo.kernel (machine, ddg, kernel) check
+        ~same:(fun (m, d, k) (m', d', k') -> m == m' && d == d' && k == k')
 
 let analysis_check ?obs ?memo ?ddg ~latency body =
   match (memo, ddg) with
-  | Some memo, Some ddg -> (
-      match List.find_opt (fun (b, d, _) -> b == body && d == ddg) !memo with
-      | Some (_, _, diags) -> diags
-      | None ->
-          let diags = Analysis_check.check ?obs ~ddg ~latency body in
-          memo := (body, ddg, diags) :: !memo;
-          diags)
+  | Some memo, Some ddg ->
+      cached memo.analysis (body, ddg)
+        ~same:(fun (b, d) (b', d') -> b == b' && d == d')
+        (fun () -> Analysis_check.check ?obs ~ddg ~latency body)
   | _ -> Analysis_check.check ?obs ?ddg ~latency body
 
 let run ?obs ?memo ?source_ddg s =
-  let ir = Ir_check.loop s.loop in
+  let ir = ir_check ?memo s.loop in
   let ideal =
     match s.ideal with
     | None -> []
@@ -45,12 +80,12 @@ let run ?obs ?memo ?source_ddg s =
     match s.partition with
     | None -> []
     | Some (assignment, rewritten) ->
-        Partition_check.check ~machine:s.machine ~assignment ~original:s.loop rewritten
+        partition_check ?memo ~machine:s.machine ~assignment ~original:s.loop rewritten
   in
   let clustered =
     match s.clustered with
     | None -> []
-    | Some (ddg, kernel) -> Sched_check.kernel ~machine:s.machine ~ddg kernel
+    | Some (ddg, kernel) -> kernel_check ?memo ~machine:s.machine ~ddg kernel
   in
   let alloc =
     match s.alloc with

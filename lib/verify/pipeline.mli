@@ -45,12 +45,19 @@ val stages : machine:Mach.Machine.t -> Ir.Loop.t -> stages
     pipeline produces them. *)
 
 type memo
-(** {!Analysis_check} results, keyed on the physical (body, DDG) pair
-    they were computed from. *)
+(** Check results of one set of artifacts, keyed on the physical
+    identity of what they were computed from: the source loop's
+    {!Ir_check}, each (assignment, rewritten body) pair's
+    {!Partition_check}, each (DDG, kernel) pair's clustered
+    {!Sched_check}, and each (body, DDG) pair's {!Analysis_check}. *)
 
 val memo : unit -> memo
 (** An empty memo. One memo serves one set of artifacts that do not
     change while it lives, e.g. one run of a fallback ladder. *)
+
+val ir_check : ?memo:memo -> Ir.Loop.t -> Diag.t list
+(** {!Ir_check.loop}, looked up in and stored to [memo]: a caller that
+    checks the source loop before {!run} does not pay for it twice. *)
 
 val run : ?obs:Obs.Trace.t -> ?memo:memo -> ?source_ddg:Ddg.Graph.t -> stages -> Diag.t list
 (** Every applicable analyzer over every present artifact, in pipeline
@@ -61,11 +68,14 @@ val run : ?obs:Obs.Trace.t -> ?memo:memo -> ?source_ddg:Ddg.Graph.t -> stages ->
     [source_ddg] hands in the source DDG without the ideal stage's
     kernel checks.
 
-    With [memo], a dataflow check of a body against a handed-in DDG is
-    looked up by physical identity before it is run, and stored after:
-    a caller verifying the same artifacts twice pays for the analysis
-    once. The diagnostics are those of a run without [memo]. [obs]
-    feeds the [analysis.*] counters, for the checks actually run. *)
+    With [memo], the source loop's IR check, the partition and
+    clustered-kernel checks, and a dataflow check of a body against a
+    handed-in DDG are looked up by physical identity before they are
+    run, and stored after: a caller verifying the same artifacts twice
+    pays for each check once. The ideal kernel and the allocation are
+    always checked. The diagnostics are those of a run without [memo].
+    [obs] feeds the [analysis.*] counters, for the checks actually
+    run. *)
 
 val verdict : Diag.t list -> (unit, string) Stdlib.result
 (** [Ok ()] when no error-severity diagnostic is present, otherwise an

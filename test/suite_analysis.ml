@@ -84,7 +84,9 @@ let liveness_tests =
           Regalloc.Liveness.backward ops ~live_out:(Regalloc.Liveness.loop_live_out loop)
         in
         Array.length l.Analysis.Liveness.before = Array.length reference
-        && Array.for_all2 Ir.Vreg.Set.equal l.Analysis.Liveness.before reference);
+        && Array.for_all Fun.id
+             (Array.mapi (fun i s -> Ir.Vreg.Set.equal (Analysis.Liveness.live_before l i) s)
+                reference));
     qcheck "one-bank-maxlive-is-maxlive" gen_loop_seed (fun seed ->
         let loop = loop_of_seed seed in
         let l = Analysis.Liveness.of_loop loop in
@@ -416,6 +418,90 @@ let reachdef_oracle_tests =
           [ 1; 4 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dense liveness against the register-set formulation                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The original solve over Lattice.VregSet, kept here as the oracle. *)
+let liveness_ref ops ~live_out =
+  let arr = Array.of_list ops in
+  let n = Array.length arr in
+  let set_of l = List.fold_left (fun s r -> Ir.Vreg.Set.add r s) Ir.Vreg.Set.empty l in
+  let module P = struct
+    module D = Analysis.Lattice.VregSet
+
+    let transfer i after =
+      let op = arr.(i) in
+      Ir.Vreg.Set.union (set_of (Ir.Op.uses op))
+        (Ir.Vreg.Set.diff after (set_of (Ir.Op.defs op)))
+
+    let edge ~src:_ ~dst:_ d = d
+  end in
+  let module S = Analysis.Solver.Make (P) in
+  let r =
+    S.solve ~nodes:n ~edges:(Analysis.Solver.ring_rev n)
+      ~init:(fun i -> if i = n - 1 then live_out else Ir.Vreg.Set.empty)
+      ()
+  in
+  (r.S.output, r.S.input, r.S.stats)
+
+let liveness_against_reference loop =
+  let ops = Ir.Loop.ops loop and live_out = Ir.Loop.live_out loop in
+  let l = Analysis.Liveness.of_ops ops ~live_out in
+  let before, after, stats = liveness_ref ops ~live_out in
+  let n = List.length ops in
+  let first_diff name got want =
+    List.find_map
+      (fun i ->
+        if Ir.Vreg.Set.equal (got l i) want.(i) then None
+        else Some (Printf.sprintf "%s differs at position %d" name i))
+      (List.init n Fun.id)
+  in
+  if l.Analysis.Liveness.stats <> stats then Error "stats differ"
+  else if Array.length l.Analysis.Liveness.before <> n || Array.length l.Analysis.Liveness.after <> n
+  then Error "row count differs"
+  else
+    match first_diff "before" Analysis.Liveness.live_before before with
+    | Some e -> Error e
+    | None -> (
+        match first_diff "after" Analysis.Liveness.live_after after with
+        | Some e -> Error e
+        | None ->
+            let card = Array.fold_left (fun m s -> max m (Ir.Vreg.Set.cardinal s)) 0 in
+            if Analysis.Liveness.max_live l <> max (card before) (card after) then
+              Error "max_live differs"
+            else Ok ())
+
+let check_liveness name loop =
+  match liveness_against_reference loop with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" name msg
+
+let liveness_oracle_tests =
+  [
+    case "suite-bodies" (fun () ->
+        List.iter (fun loop -> check_liveness (Ir.Loop.name loop) loop) (Workload.Suite.loops ()));
+    slow_case "rewritten-bodies" (fun () ->
+        List.iter
+          (fun loop ->
+            List.iter
+              (fun (cfg : Core.Experiment.config) ->
+                match Partition.Driver.pipeline ~machine:cfg.machine loop with
+                | Error e ->
+                    Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
+                | Ok r ->
+                    check_liveness
+                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
+                      r.Partition.Driver.rewritten)
+              Core.Experiment.paper_configs)
+          (Workload.Suite.loops ()));
+    qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor -> liveness_against_reference (fst (Ir.Unroll.loop ~factor loop)) = Ok ())
+          [ 1; 4 ]);
+  ]
+
 let suite =
   [
     ("analysis.solver", solver_tests);
@@ -423,4 +509,5 @@ let suite =
     ("analysis.depan", reachdef_tests);
     ("analysis.wiring", wiring_tests);
     ("analysis.reachdef-ref", reachdef_oracle_tests);
+    ("analysis.liveness-ref", liveness_oracle_tests);
   ]

@@ -463,6 +463,46 @@ let verify_once_tests =
         check Alcotest.(list string) "same body, another DDG" (verify foreign)
           (verify ~memo foreign);
         check Alcotest.bool "which the check rejects" true (verify foreign <> verify own));
+    case "memo-keys-on-partition-and-kernel" (fun () ->
+        (* A stage set checked once through the memo, then again with a
+           partition and a kernel that are new values: the second run
+           must check them, not answer from the first. *)
+        let loop = Workload.Kernels.daxpy ~unroll:2 in
+        let r = expect_ok "daxpy" (run ~machine:m4x4e loop) in
+        let kernel =
+          match r.Robust.Driver.code with
+          | Robust.Driver.Kernel { kernel; _ } -> kernel
+          | Robust.Driver.Flat _ -> Alcotest.fail "daxpy-u2 was not pipelined"
+        in
+        let ddg = Ddg.Graph.of_loop ~latency:m4x4e.Mach.Machine.latency r.Robust.Driver.rewritten in
+        let stages assignment kernel =
+          {
+            (Verify.Pipeline.stages ~machine:m4x4e loop) with
+            Verify.Pipeline.partition = Some (assignment, r.Robust.Driver.rewritten);
+            clustered = Some (ddg, kernel);
+          }
+        in
+        let verify ?memo st = List.map Verify.Diag.to_string (Verify.Pipeline.run ?memo st) in
+        let memo = Verify.Pipeline.memo () in
+        let good = stages r.Robust.Driver.assignment kernel in
+        check Alcotest.(list string) "first run" (verify good) (verify ~memo good);
+        check Alcotest.(list string) "the same artifacts again" (verify good) (verify ~memo good);
+        let moved =
+          let reg, b = Ir.Vreg.Map.min_binding r.Robust.Driver.assignment in
+          Ir.Vreg.Map.add reg ((b + 1) mod 4) r.Robust.Driver.assignment
+        in
+        let short =
+          Sched.Kernel.make ~ii:(Sched.Kernel.ii kernel) (List.tl (Sched.Kernel.placements kernel))
+        in
+        let bad = stages moved short in
+        check Alcotest.(list string) "new partition and kernel" (verify bad) (verify ~memo bad);
+        check Alcotest.bool "which the checks reject" true (verify bad <> verify good);
+        let partition_only = stages moved kernel and kernel_only = stages r.Robust.Driver.assignment short in
+        check Alcotest.(list string) "new partition" (verify partition_only)
+          (verify ~memo partition_only);
+        check Alcotest.(list string) "new kernel" (verify kernel_only) (verify ~memo kernel_only);
+        check Alcotest.bool "each rejected on its own" true
+          (verify partition_only <> verify good && verify kernel_only <> verify good));
     case "respilled-body-is-reanalysed" (fun () ->
         let r = expect_ok "hydro" (run ~machine:tight2 (Workload.Kernels.hydro ~unroll:2)) in
         (match r.Robust.Driver.rung with

@@ -334,6 +334,59 @@ let alloc_negative_tests =
                 check Alcotest.bool "AL004" true (has_error_code "AL004" diags)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Dense Verify.Live against the register-set pass it replaced         *)
+(* ------------------------------------------------------------------ *)
+
+let live_ref ops ~live_out =
+  let arr = Array.of_list ops in
+  let n = Array.length arr in
+  let sets = Array.make (n + 1) live_out in
+  for i = n - 1 downto 0 do
+    let op = arr.(i) in
+    let after = sets.(i + 1) in
+    let minus_defs =
+      List.fold_left (fun s d -> Ir.Vreg.Set.remove d s) after (Ir.Op.defs op)
+    in
+    sets.(i) <-
+      List.fold_left (fun s u -> Ir.Vreg.Set.add u s) minus_defs (Ir.Op.uses op)
+  done;
+  sets
+
+let live_matches_reference loop =
+  let ops = Ir.Loop.ops loop and live_out = Verify.Live.loop_live_out loop in
+  let live = Verify.Live.backward ops ~live_out and want = live_ref ops ~live_out in
+  Array.length live.Verify.Live.rows = Array.length want
+  && Array.for_all Fun.id
+       (Array.mapi (fun i s -> Ir.Vreg.Set.equal (Verify.Live.set live i) s) want)
+
+let live_ref_tests =
+  [
+    case "suite-and-rewritten-bodies" (fun () ->
+        List.iter
+          (fun loop ->
+            check Alcotest.bool (Ir.Loop.name loop) true (live_matches_reference loop);
+            List.iter
+              (fun clusters ->
+                let machine =
+                  Mach.Machine.paper_clustered ~clusters ~copy_model:Mach.Machine.Embedded
+                in
+                match Partition.Driver.pipeline ~machine loop with
+                | Error e -> Alcotest.fail (Verify.Stage_error.to_string e)
+                | Ok r ->
+                    check Alcotest.bool
+                      (Ir.Loop.name loop ^ " on " ^ machine.Mach.Machine.name)
+                      true
+                      (live_matches_reference r.Partition.Driver.rewritten))
+              [ 2; 4; 8 ])
+          (Workload.Suite.loops ()));
+    qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor -> live_matches_reference (fst (Ir.Unroll.loop ~factor loop)))
+          [ 1; 4 ]);
+  ]
+
 let suite =
   [
     ("verify.diag", diag_tests);
@@ -342,4 +395,5 @@ let suite =
     ("verify.sched", sched_negative_tests);
     ("verify.partition", partition_negative_tests);
     ("verify.alloc", alloc_negative_tests);
+    ("verify.live-ref", live_ref_tests);
   ]

@@ -4,9 +4,8 @@
 # Prints the MD5 and line count of four `rbp exact` outputs:
 #   slice      `rbp exact -v` (every slice loop on 2x8/4x4/8x2, embedded:
 #              status, best II and copies, lower bound and node count)
-#   slice-cu   `rbp exact -v -m copy-unit` (the gap study solves the paper's
-#              embedded geometries whatever -m says, so this line equals
-#              slice and pins that)
+#   slice-cu   `rbp exact -v -m copy-unit` (the same slice on the three
+#              geometries under the copy-unit model)
 #   gen1       `rbp exact gen1 --budget 50000` (61 registers, 4x4)
 #   gen22-c8   `rbp exact gen22 -c 8 --budget 50000` (159 registers, 8x2)
 # The two single-loop reports print nodes, leaves, pruned and backjumps
