@@ -24,16 +24,13 @@ let allocate ?obs ?(max_rounds = 8) ?(subject = "code") ~machine ~assignment ~li
   let fail ?code message =
     Error (Verify.Stage_error.make ?code ~stage:Verify.Stage_error.Allocation ~subject message)
   in
-  let missing =
-    Ir.Vreg.Set.filter
-      (fun r -> Partition.Assign.bank_opt assignment r = None)
-      (code_registers ops)
-  in
-  if not (Ir.Vreg.Set.is_empty missing) then
+  let unassigned r = Partition.Assign.bank_opt assignment r = None in
+  if List.exists (fun op -> List.exists unassigned (Ir.Op.defs op @ Ir.Op.uses op)) ops then
     fail ~code:"AL001"
       (Printf.sprintf "unassigned registers: %s"
          (String.concat ", "
-            (List.map Ir.Vreg.to_string (Ir.Vreg.Set.elements missing))))
+            (List.map Ir.Vreg.to_string
+               (Ir.Vreg.Set.elements (Ir.Vreg.Set.filter unassigned (code_registers ops))))))
   else begin
     (* Fail fast when no amount of spilling can help: all distinct source
        registers of one operation are live at that operation, and spill

@@ -49,30 +49,27 @@ let live_in ops ~live_out =
 
 let loop_live_out loop =
   let ops = Ir.Loop.ops loop in
-  (* Carried registers: used at q with no def strictly before q but
-     defined somewhere in the body. *)
-  let arr = Array.of_list ops in
-  let defined_before = Hashtbl.create 32 in
-  let carried = ref Ir.Vreg.Set.empty in
-  let defined_anywhere =
-    List.fold_left
-      (fun s op -> List.fold_left (fun s d -> Ir.Vreg.Set.add d s) s (Ir.Op.defs op))
-      Ir.Vreg.Set.empty ops
+  (* Carried and invariant registers: used at q with no def strictly
+     before q (invariants have no def at all). *)
+  let regs =
+    Ir.Vreg.Dense.of_iter (fun f ->
+        List.iter
+          (fun op ->
+            List.iter f (Ir.Op.defs op);
+            List.iter f (Ir.Op.uses op))
+          ops)
   in
-  Array.iter
+  let defined_before = Array.make (Ir.Vreg.Dense.size regs) false in
+  let live = ref (Ir.Loop.live_out loop) in
+  List.iter
     (fun op ->
       List.iter
         (fun u ->
-          if
-            Ir.Vreg.Set.mem u defined_anywhere
-            && not (Hashtbl.mem defined_before (Ir.Vreg.id u))
-          then carried := Ir.Vreg.Set.add u !carried)
+          if not defined_before.(Ir.Vreg.Dense.find regs u) then live := Ir.Vreg.Set.add u !live)
         (Ir.Op.uses op);
-      List.iter (fun d -> Hashtbl.replace defined_before (Ir.Vreg.id d) ()) (Ir.Op.defs op))
-    arr;
-  Ir.Vreg.Set.union
-    (Ir.Loop.live_out loop)
-    (Ir.Vreg.Set.union !carried (Ir.Loop.invariants loop))
+      List.iter (fun d -> defined_before.(Ir.Vreg.Dense.find regs d) <- true) (Ir.Op.defs op))
+    ops;
+  !live
 
 let func_live_out func =
   let table : (string, Ir.Vreg.Set.t) Hashtbl.t = Hashtbl.create 16 in
