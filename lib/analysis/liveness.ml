@@ -41,10 +41,20 @@ let of_ops ops ~live_out =
       let bottom = Bits.create size
       let equal (a : t) b = a = b
 
+      (* Facts are never mutated, so a join that adds nothing to one
+         side returns that side rather than a copy. *)
+      let rec covers a b w = w = words || (b.(w) land lnot a.(w) = 0 && covers a b (w + 1))
+
       let join a b =
-        if a == bottom then b
-        else if b == bottom then a
-        else Array.init words (fun w -> a.(w) lor b.(w))
+        if covers a b 0 then a
+        else if covers b a 0 then b
+        else begin
+          let c = Array.make words 0 in
+          for w = 0 to words - 1 do
+            c.(w) <- a.(w) lor b.(w)
+          done;
+          c
+        end
 
       let widen ~old ~next = join old next (* finite height *)
 
@@ -54,9 +64,20 @@ let of_ops ops ~live_out =
         Format.fprintf fmt "{%s}" (String.concat ", " (List.rev !names))
     end
 
+    (* (after - defs) + uses; [after] itself when the op changes nothing. *)
     let transfer i after =
       let d = defs.(i) and u = uses.(i) in
-      Array.init words (fun w -> u.(w) lor (after.(w) land lnot d.(w)))
+      let rec same w =
+        w = words || (after.(w) land d.(w) = 0 && u.(w) land lnot after.(w) = 0 && same (w + 1))
+      in
+      if same 0 then after
+      else begin
+        let row = Array.make words 0 in
+        for w = 0 to words - 1 do
+          row.(w) <- u.(w) lor (after.(w) land lnot d.(w))
+        done;
+        row
+      end
 
     let edge ~src:_ ~dst:_ d = d
   end in
