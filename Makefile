@@ -4,7 +4,7 @@
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
         trace-digest trace-digest-check analyze-digest-check exact-digest-check \
-        alloc-digest-check
+        alloc-digest-check lint-digest-check
 
 all: build
 
@@ -62,6 +62,15 @@ exact-digest-check: build
 # (sh tools/alloc_digest.sh > tools/alloc_digest.expected) and says why.
 alloc-digest-check: build
 	sh tools/alloc_digest.sh | diff -u tools/alloc_digest.expected -
+
+# The verification gate: the MD5s of `rbp lint` (every stage-boundary
+# diagnostic, in the checkers' own order) over the suite on 2x8/4x4/8x2,
+# both copy models, at 32 and at 3 registers per bank, with stderr and
+# exit codes, must equal tools/lint_digest.expected. A change that moves
+# a diagnostic on purpose regenerates that file
+# (sh tools/lint_digest.sh > tools/lint_digest.expected) and says why.
+lint-digest-check: build
+	sh tools/lint_digest.sh | diff -u tools/lint_digest.expected -
 
 # Deterministic fault-injection sweep through the resilient driver:
 # 200 seeded trials, Verify as the oracle. Exit 0 = every trial either

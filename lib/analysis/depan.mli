@@ -26,18 +26,33 @@ type edge = {
   distance : int;
 }
 
+(** The distinct edges, sorted by (src, dst, kind, distance), held as
+    parallel arrays: edge [j] is [srcs.(j) -> dsts.(j)], of kind
+    [kind_of_rank ranks.(j)]. *)
 type t = {
-  edges : edge list;
-      (** deduplicated, sorted by (src, dst, kind, distance) *)
+  count : int;  (** number of edges *)
+  srcs : int array;  (** op ids *)
+  dsts : int array;  (** op ids *)
+  ranks : int array;  (** {!kind_rank} of each edge's kind *)
+  distances : int array;
+  latencies : int array;
   reachdef : Reachdef.t;
   stats : Solver.stats;  (** the reaching-definitions solve *)
 }
 
 val of_loop : ?latency:Mach.Latency.t -> Ir.Loop.t -> t
 (** [latency] defaults to [Mach.Latency.paper], the table [Ddg.Graph]
-    uses. *)
+    uses. Edges are gathered into one int array and sorted once on
+    their int fields; registers are numbered as {!Reachdef} numbers
+    them. *)
+
+val edges : t -> edge list
+(** The edges as records, in order. *)
 
 val kind_rank : Ddg.Dep.kind -> int
 (** Total order on kinds used for the deterministic edge sort. *)
+
+val kind_of_rank : int -> Ddg.Dep.kind
+(** The inverse of {!kind_rank}. *)
 
 val edge_to_string : edge -> string

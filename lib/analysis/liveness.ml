@@ -39,7 +39,12 @@ let of_ops ops ~live_out =
       type t = Bits.t
 
       let bottom = Bits.create size
-      let equal (a : t) b = a = b
+      let equal (a : t) b =
+        let w = ref 0 in
+        while !w < words && a.(!w) = b.(!w) do
+          incr w
+        done;
+        !w = words
 
       (* Facts are never mutated, so a join that adds nothing to one
          side returns that side rather than a copy. *)
@@ -67,10 +72,11 @@ let of_ops ops ~live_out =
     (* (after - defs) + uses; [after] itself when the op changes nothing. *)
     let transfer i after =
       let d = defs.(i) and u = uses.(i) in
-      let rec same w =
-        w = words || (after.(w) land d.(w) = 0 && u.(w) land lnot after.(w) = 0 && same (w + 1))
-      in
-      if same 0 then after
+      let w = ref 0 in
+      while !w < words && after.(!w) land d.(!w) = 0 && u.(!w) land lnot after.(!w) = 0 do
+        incr w
+      done;
+      if !w = words then after
       else begin
         let row = Array.make words 0 in
         for w = 0 to words - 1 do
@@ -155,11 +161,13 @@ let dead_ops ?live loop =
     List.iter (fun op -> Hashtbl.replace tbl (Ir.Op.id op) ()) ops;
     tbl
   in
-  let dead = go ?l:live (Ir.Loop.ops loop) [] in
-  (* Report in body order regardless of removal round. *)
-  let order = Hashtbl.create 32 in
-  List.iteri (fun i op -> Hashtbl.replace order (Ir.Op.id op) i) (Ir.Loop.ops loop);
-  List.sort
-    (fun a b ->
-      compare (Hashtbl.find order (Ir.Op.id a)) (Hashtbl.find order (Ir.Op.id b)))
-    dead
+  match go ?l:live (Ir.Loop.ops loop) [] with
+  | [] -> []
+  | dead ->
+      (* Report in body order regardless of removal round. *)
+      let order = Hashtbl.create 32 in
+      List.iteri (fun i op -> Hashtbl.replace order (Ir.Op.id op) i) (Ir.Loop.ops loop);
+      List.sort
+        (fun a b ->
+          compare (Hashtbl.find order (Ir.Op.id a)) (Hashtbl.find order (Ir.Op.id b)))
+        dead

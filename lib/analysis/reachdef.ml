@@ -1,7 +1,7 @@
 let dist_cap = 2
 
 (* Facts are dense. Every (register, defining op) pair of the body owns
-   one slot, and a register's slots are contiguous, ordered by op id. A
+   one slot, and a register's slots are contiguous, in body order. A
    fact holds one byte per slot: the minimum distance at which that
    definition reaches, or [absent]. This is the lattice of a map from
    register to (def op id -> min distance): join is slotwise min, the
@@ -11,63 +11,54 @@ let dist_cap = 2
 let absent = dist_cap + 1
 
 type t = {
-  reg : int Ir.Vreg.Tbl.t;  (* register -> its number *)
-  first : int array;  (* register number -> its first slot; one more entry ends the last *)
-  def_id : int array;  (* slot -> defining op id *)
-  before : Bytes.t array;  (* position -> the fact at its entry *)
+  regs : Ir.Vreg.Dense.t;
+  first : int array;
+  def_id : int array;
+  def_pos : int array;
+  before : Bytes.t array;
   stats : Solver.stats;
 }
 
 let of_loop loop =
   let arr = Array.of_list (Ir.Loop.ops loop) in
   let n = Array.length arr in
-  (* Number the defined registers in order of first definition and
-     collect each one's defining op ids. *)
-  let reg = Ir.Vreg.Tbl.create 16 in
-  let ids = Array.make (Array.fold_left (fun a op -> a + List.length (Ir.Op.defs op)) 0 arr) [] in
+  (* Number the defined registers and give each one a slot per defining
+     op, in body order. *)
+  let regs =
+    Ir.Vreg.Dense.of_iter (fun f -> Array.iter (fun op -> List.iter f (Ir.Op.defs op)) arr)
+  in
+  let nregs = Ir.Vreg.Dense.size regs in
+  let first = Array.make (nregs + 1) 0 in
   Array.iter
     (fun op ->
       List.iter
         (fun d ->
-          let k =
-            match Ir.Vreg.Tbl.find_opt reg d with
-            | Some k -> k
-            | None ->
-                let k = Ir.Vreg.Tbl.length reg in
-                Ir.Vreg.Tbl.replace reg d k;
-                k
-          in
-          ids.(k) <- Ir.Op.id op :: ids.(k))
+          let k = Ir.Vreg.Dense.find regs d in
+          first.(k + 1) <- first.(k + 1) + 1)
         (Ir.Op.defs op))
     arr;
-  let regs = Ir.Vreg.Tbl.length reg in
-  let first = Array.make (regs + 1) 0 in
-  for k = 0 to regs - 1 do
-    ids.(k) <- List.sort_uniq Int.compare ids.(k);
-    first.(k + 1) <- first.(k) + List.length ids.(k)
+  for k = 0 to nregs - 1 do
+    first.(k + 1) <- first.(k + 1) + first.(k)
   done;
-  let slots = first.(regs) in
-  let def_id = Array.make slots 0 in
-  for k = 0 to regs - 1 do
-    List.iteri (fun j id -> def_id.(first.(k) + j) <- id) ids.(k)
-  done;
-  (* What each op's definitions do to a fact: clear the register's slots
-     [lo, hi), then set its own slot to distance 0. *)
-  let gen =
-    Array.map
-      (fun op ->
-        let id = Ir.Op.id op in
-        List.map
-          (fun d ->
-            let k = Ir.Vreg.Tbl.find reg d in
-            let s = ref first.(k) in
-            while def_id.(!s) <> id do
-              incr s
-            done;
-            (first.(k), first.(k + 1), !s))
-          (Ir.Op.defs op))
-      arr
-  in
+  let slots = first.(nregs) in
+  let def_id = Array.make slots 0 and def_pos = Array.make slots 0 in
+  let fill = Array.sub first 0 nregs in
+  (* [gen.(i)]: the slot op [i]'s definition sets (-1 when it defines
+     nothing); [reg_of.(i)] the register it defines. *)
+  let gen = Array.make n (-1) and reg_of = Array.make n 0 in
+  Array.iteri
+    (fun i op ->
+      List.iter
+        (fun d ->
+          let k = Ir.Vreg.Dense.find regs d in
+          let s = fill.(k) in
+          def_id.(s) <- Ir.Op.id op;
+          def_pos.(s) <- i;
+          gen.(i) <- s;
+          reg_of.(i) <- k;
+          fill.(k) <- s + 1)
+        (Ir.Op.defs op))
+    arr;
   let none = Char.chr absent in
   let module P = struct
     module D = struct
@@ -76,16 +67,27 @@ let of_loop loop =
       let bottom = Bytes.make slots none
       let equal = Bytes.equal
 
+      (* Facts are never mutated, so a join that adds nothing to one
+         side returns that side rather than a copy. *)
       let join a b =
         if a == bottom then b
         else if b == bottom then a
         else begin
-          let c = Bytes.create slots in
+          let a_below = ref true and b_below = ref true in
           for s = 0 to slots - 1 do
-            let x = Char.code (Bytes.unsafe_get a s) and y = Char.code (Bytes.unsafe_get b s) in
-            Bytes.unsafe_set c s (Char.unsafe_chr (if x <= y then x else y))
+            let x = Bytes.unsafe_get a s and y = Bytes.unsafe_get b s in
+            if x > y then a_below := false else if x < y then b_below := false
           done;
-          c
+          if !a_below then a
+          else if !b_below then b
+          else begin
+            let c = Bytes.create slots in
+            for s = 0 to slots - 1 do
+              let x = Bytes.unsafe_get a s and y = Bytes.unsafe_get b s in
+              Bytes.unsafe_set c s (if x <= y then x else y)
+            done;
+            c
+          end
         end
 
       let widen ~old ~next = join old next (* finite height: slots x capped dists *)
@@ -97,17 +99,17 @@ let of_loop loop =
         done
     end
 
+    (* A def of register [k] clears its slots, then sets its own. *)
     let transfer i fact =
-      match gen.(i) with
-      | [] -> fact
-      | g ->
-          let f = Bytes.copy fact in
-          List.iter
-            (fun (lo, hi, s) ->
-              Bytes.fill f lo (hi - lo) none;
-              Bytes.set f s '\000')
-            g;
-          f
+      let s = gen.(i) in
+      if s < 0 then fact
+      else begin
+        let k = reg_of.(i) in
+        let f = Bytes.copy fact in
+        Bytes.fill f first.(k) (first.(k + 1) - first.(k)) none;
+        Bytes.set f s '\000';
+        f
+      end
 
     (* The back edge ages every reaching definition by one iteration. *)
     let edge ~src ~dst fact =
@@ -123,18 +125,20 @@ let of_loop loop =
   end in
   let module S = Solver.Make (P) in
   let r = S.solve ~nodes:n ~edges:(Solver.ring n) ~init:(fun _ -> P.D.bottom) () in
-  { reg; first; def_id; before = r.S.input; stats = r.S.stats }
+  { regs; first; def_id; def_pos; before = r.S.input; stats = r.S.stats }
+
+let distance t ~pos s = Char.code (Bytes.unsafe_get t.before.(pos) s)
 
 let reaching t ~pos r =
-  match Ir.Vreg.Tbl.find_opt t.reg r with
-  | None -> []
-  | Some k ->
-      let fact = t.before.(pos) in
-      let acc = ref [] in
-      for s = t.first.(k + 1) - 1 downto t.first.(k) do
-        let d = Char.code (Bytes.get fact s) in
-        if d <> absent then acc := (t.def_id.(s), d) :: !acc
-      done;
-      !acc
+  let k = Ir.Vreg.Dense.find t.regs r in
+  if k < 0 then []
+  else begin
+    let acc = ref [] in
+    for s = t.first.(k + 1) - 1 downto t.first.(k) do
+      let d = distance t ~pos s in
+      if d <> absent then acc := (t.def_id.(s), d) :: !acc
+    done;
+    List.sort (fun (a, _) (b, _) -> Int.compare a b) !acc
+  end
 
 let stats t = t.stats

@@ -11,7 +11,13 @@
 
     The solver runs the classic chaotic iteration: seed every node,
     recompute a node's input as the join of its predecessors' outputs
-    (plus its boundary fact), re-queue successors on change. After
+    (plus its boundary fact), re-queue successors on change. The visit
+    order is fixed, and {!stats} pins it: the worklist is FIFO, seeded
+    with [0 .. nodes-1] in ascending order; a node's input is its
+    boundary fact joined with its predecessors' contributions in
+    ascending node order; on change its successors are appended in
+    ascending node order, each only if it is not already queued.
+    Duplicate edges count once. After
     [widen_after] updates of one node the join is replaced by the
     domain's widening, which bounds the chain height; a hard iteration
     budget turns a (buggy, non-monotone) diverging instance into a
@@ -52,8 +58,14 @@ module Make (P : PROBLEM) : sig
     result
   (** [init i] is the boundary fact joined into node [i]'s input (the
       contribution of edges from outside the analyzed region);
-      [P.D.bottom] for interior nodes. [widen_after] defaults to 8
-      updates per node; [max_iterations] to [max 256 (64 * nodes)]. *)
+      [P.D.bottom] for interior nodes. It is called once per node, and
+      facts are never mutated: the solver may hand one fact to several
+      nodes. [widen_after] defaults to 8 updates per node;
+      [max_iterations] to [max 256 (64 * nodes)]. Raises
+      [Invalid_argument] when an edge endpoint is outside
+      [0 .. nodes-1]. The graph is held in compressed adjacency arrays
+      and the worklist in an int ring, so an iteration allocates only
+      what the domain's operations do. *)
 end
 
 val ring : int -> (int * int) list

@@ -23,67 +23,66 @@ type report = {
   matched : int;
 }
 
-let mismatch_rank = function
-  | Missing_in_ddg -> 0
-  | Distance_exceeds -> 1
-  | Extra_in_ddg -> 2
-  | Distance_below -> 3
-  | Latency_differs -> 4
-
-module Key = struct
-  type t = int * int * int (* src, dst, kind rank *)
-
-  let compare = compare
-end
-
-module KMap = Map.Make (Key)
-
-let key src dst kind = (src, dst, Depan.kind_rank kind)
-
-let kind_of_rank = function
-  | 0 -> Ddg.Dep.Flow
-  | 1 -> Ddg.Dep.Anti
-  | 2 -> Ddg.Dep.Output
-  | 3 -> Ddg.Dep.Mem Ddg.Dep.Mem_flow
-  | 4 -> Ddg.Dep.Mem Ddg.Dep.Mem_anti
-  | _ -> Ddg.Dep.Mem Ddg.Dep.Mem_output
-
-let run (dep : Depan.t) ddg =
-  (* Keep the smallest distance per key on both sides: that is the
-     binding constraint, and the DDG can legitimately carry duplicate
-     identical edges (duplicated source operands). *)
-  let tighten m k (dist, lat) =
-    KMap.update k
-      (function
-        | None -> Some (dist, lat)
-        | Some (d0, l0) -> if dist < d0 then Some (dist, lat) else Some (d0, l0))
-      m
-  in
-  let analysis =
-    List.fold_left
-      (fun m (e : Depan.edge) ->
-        tighten m (key e.Depan.src e.Depan.dst e.Depan.kind)
-          (e.Depan.distance, e.Depan.latency))
-      KMap.empty dep.Depan.edges
-  in
-  let produced = ref KMap.empty in
+(* The DDG's edges as int keys, five ints apiece (src, dst, kind rank,
+   distance, latency), and their order by (src, dst, kind rank,
+   distance), ties kept in iteration order: the first edge of each
+   key's run is the one with the smallest distance that the DDG yields
+   first. The sort is by insertion, which is stable and, as the graph
+   yields its edges grouped by source, moves each edge only within its
+   source's group. *)
+let ddg_keys ddg =
+  let g = Ddg.Graph.graph ddg in
+  let d = Array.make (5 * Graphlib.Digraph.edge_count g) 0 in
+  let m = ref 0 in
   Graphlib.Digraph.iter_edges
     (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
-      produced :=
-        tighten !produced
-          (key e.src e.dst (Ddg.Dep.kind e.label))
-          (Ddg.Dep.distance e.label, Ddg.Dep.latency e.label))
-    (Ddg.Graph.graph ddg);
-  let produced = !produced in
-  let findings = ref [] in
-  let matched = ref 0 in
-  let add mismatch (src, dst, rank) ?ad ?dd ?al ?dl () =
+      let o = 5 * !m in
+      d.(o) <- e.src;
+      d.(o + 1) <- e.dst;
+      d.(o + 2) <- Depan.kind_rank (Ddg.Dep.kind e.label);
+      d.(o + 3) <- Ddg.Dep.distance e.label;
+      d.(o + 4) <- Ddg.Dep.latency e.label;
+      incr m)
+    g;
+  let below x y =
+    let x = 5 * x and y = 5 * y in
+    d.(x) < d.(y)
+    || d.(x) = d.(y)
+       && (d.(x + 1) < d.(y + 1)
+          || d.(x + 1) = d.(y + 1)
+             && (d.(x + 2) < d.(y + 2) || (d.(x + 2) = d.(y + 2) && d.(x + 3) < d.(y + 3))))
+  in
+  let order = Array.init !m Fun.id in
+  for i = 1 to !m - 1 do
+    let e = order.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && below e order.(!j) do
+      order.(!j + 1) <- order.(!j);
+      decr j
+    done;
+    order.(!j + 1) <- e
+  done;
+  (d, order)
+
+(* Both sides keep the smallest distance per (src, dst, kind) key: that
+   is the binding constraint, and the DDG can legitimately carry
+   duplicate identical edges (duplicated source operands). The analysis
+   edges are sorted by key then distance, so a key's first edge holds
+   its smallest distance; the DDG's are sorted likewise. One merge of
+   the two key orders yields each key's finding, and each key has at
+   most one, so the findings come out in key order. *)
+let run (dep : Depan.t) ddg =
+  let d, order = ddg_keys ddg in
+  let na = dep.Depan.count and nd = Array.length order in
+  let findings = ref [] and matched = ref 0 in
+  let analysis_edges = ref 0 and ddg_edges = ref 0 in
+  let add mismatch src dst rank ?ad ?dd ?al ?dl () =
     findings :=
       {
         mismatch;
         src;
         dst;
-        kind = kind_of_rank rank;
+        kind = Depan.kind_of_rank rank;
         analysis_distance = ad;
         ddg_distance = dd;
         analysis_latency = al;
@@ -91,33 +90,62 @@ let run (dep : Depan.t) ddg =
       }
       :: !findings
   in
-  KMap.iter
-    (fun k (ad, al) ->
-      match KMap.find_opt k produced with
-      | None -> add Missing_in_ddg k ~ad ~al ()
-      | Some (dd, dl) ->
-          if dd > ad then add Distance_exceeds k ~ad ~dd ~al ~dl ()
-          else if dd < ad then add Distance_below k ~ad ~dd ~al ~dl ()
+  (* The index past the run of analysis edges sharing edge [a]'s key,
+     and likewise for the DDG edge at [order.(g)]. *)
+  let same_a a a' =
+    dep.Depan.srcs.(a') = dep.Depan.srcs.(a)
+    && dep.Depan.dsts.(a') = dep.Depan.dsts.(a)
+    && dep.Depan.ranks.(a') = dep.Depan.ranks.(a)
+  in
+  let rec next_a a a' = if a' < na && same_a a a' then next_a a (a' + 1) else a' in
+  let same_g x y = d.(x) = d.(y) && d.(x + 1) = d.(y + 1) && d.(x + 2) = d.(y + 2) in
+  let rec next_g g g' =
+    if g' < nd && same_g (5 * order.(g)) (5 * order.(g')) then next_g g (g' + 1) else g'
+  in
+  let rec merge a g =
+    if a < na || g < nd then begin
+      let x = if g < nd then 5 * order.(g) else 0 in
+      let c =
+        if a >= na then 1
+        else if g >= nd then -1
+        else
+          let c = Int.compare dep.Depan.srcs.(a) d.(x) in
+          if c <> 0 then c
+          else
+            let c = Int.compare dep.Depan.dsts.(a) d.(x + 1) in
+            if c <> 0 then c else Int.compare dep.Depan.ranks.(a) d.(x + 2)
+      in
+      if c <= 0 then incr analysis_edges;
+      if c >= 0 then incr ddg_edges;
+      if c > 0 then begin
+        add Extra_in_ddg d.(x) d.(x + 1) d.(x + 2) ~dd:d.(x + 3) ~dl:d.(x + 4) ();
+        merge a (next_g g (g + 1))
+      end
+      else begin
+        let src = dep.Depan.srcs.(a) and dst = dep.Depan.dsts.(a) and rank = dep.Depan.ranks.(a) in
+        let ad = dep.Depan.distances.(a) and al = dep.Depan.latencies.(a) in
+        if c < 0 then begin
+          add Missing_in_ddg src dst rank ~ad ~al ();
+          merge (next_a a (a + 1)) g
+        end
+        else begin
+          let dd = d.(x + 3) and dl = d.(x + 4) in
+          if dd > ad then add Distance_exceeds src dst rank ~ad ~dd ~al ~dl ()
+          else if dd < ad then add Distance_below src dst rank ~ad ~dd ~al ~dl ()
           else begin
             incr matched;
-            if dl <> al then add Latency_differs k ~ad ~dd ~al ~dl ()
-          end)
-    analysis;
-  KMap.iter
-    (fun k (dd, dl) ->
-      if not (KMap.mem k analysis) then add Extra_in_ddg k ~dd ~dl ())
-    produced;
-  let sorted =
-    List.sort
-      (fun a b ->
-        let c = compare (a.src, a.dst, Depan.kind_rank a.kind) (b.src, b.dst, Depan.kind_rank b.kind) in
-        if c <> 0 then c else compare (mismatch_rank a.mismatch) (mismatch_rank b.mismatch))
-      !findings
+            if dl <> al then add Latency_differs src dst rank ~ad ~dd ~al ~dl ()
+          end;
+          merge (next_a a (a + 1)) (next_g g (g + 1))
+        end
+      end
+    end
   in
+  merge 0 0;
   {
-    findings = sorted;
-    analysis_edges = KMap.cardinal analysis;
-    ddg_edges = KMap.cardinal produced;
+    findings = List.rev !findings;
+    analysis_edges = !analysis_edges;
+    ddg_edges = !ddg_edges;
     matched = !matched;
   }
 

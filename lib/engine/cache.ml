@@ -11,13 +11,18 @@ let path_of t key =
   let rest = String.sub key (min 2 (String.length key)) (max 0 (String.length key - 2)) in
   Filename.concat (Filename.concat t.dir bucket) (rest ^ ".json")
 
+(* An unreadable entry (a directory in its place, say) is a miss. *)
 let read_file path =
   match open_in_bin path with
   | exception Sys_error _ -> None
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      Some s
+  | ic -> (
+      match really_input_string ic (in_channel_length ic) with
+      | s ->
+          close_in ic;
+          Some s
+      | exception (Sys_error _ | End_of_file) ->
+          close_in_noerr ic;
+          None)
 
 (* Entries are wrapped in an integrity envelope
    [{"sum": md5(payload bytes), "payload": ...}]. Content addressing
@@ -27,11 +32,15 @@ let read_file path =
    result. The digest is over the canonical serialization of the
    payload, so any flip that survives the parser either changes the
    re-serialized bytes (digest mismatch) or the envelope shape — both
-   degrade to a miss, counted on [engine.cache_corrupt]. *)
-let envelope payload =
+   degrade to a miss, counted on [engine.cache_corrupt].
+
+   [seal] writes the envelope's text around the payload's one
+   serialization: the bytes [Obs.Json.to_string] gives the envelope
+   object (a hex digest needs no escaping), plus a newline. *)
+let seal payload =
   let body = Obs.Json.to_string payload in
-  Obs.Json.Obj
-    [ ("sum", Obs.Json.Str (Digest.to_hex (Digest.string body))); ("payload", payload) ]
+  String.concat ""
+    [ {|{"sum":"|}; Digest.to_hex (Digest.string body); {|","payload":|}; body; "}\n" ]
 
 let unseal j =
   match (Obs.Json.member "sum" j, Obs.Json.member "payload" j) with
@@ -61,15 +70,22 @@ let rec mkdir_p d =
 
 let store t ~key json =
   let path = path_of t key in
-  try
+  let text = seal json in
+  match
     mkdir_p (Filename.dirname path);
-    let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) "entry" ".tmp" in
-    let oc = open_out_bin tmp in
-    output_string oc (Obs.Json.to_string (envelope json));
-    output_char oc '\n';
-    close_out oc;
-    Sys.rename tmp path
-  with Sys_error _ -> ()
+    Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(Filename.dirname path) "entry"
+      ".tmp"
+  with
+  | exception Sys_error _ -> ()
+  | tmp, oc -> (
+      try
+        output_string oc text;
+        close_out oc;
+        Sys.rename tmp path
+      with Sys_error _ -> (
+        (* A failed write or rename must not leave its temp file behind. *)
+        close_out_noerr oc;
+        try Sys.remove tmp with Sys_error _ -> ()))
 
 type stats = { entries : int; bytes : int }
 

@@ -12,17 +12,19 @@ type t = {
   mutable root_spans : span list; (* completed roots, newest first *)
   counters : (Counter.t * string option, int ref) Hashtbl.t;
   gauges : (Counter.gauge * string option, (int * int) ref) Hashtbl.t;
+  keep_events : bool;
   mutable events : Events.t list; (* newest first *)
   mutable event_count : int;
 }
 
-let make ~clock () =
+let make ?(events = true) ~clock () =
   {
     clock;
     stack = [];
     root_spans = [];
     counters = Hashtbl.create 16;
     gauges = Hashtbl.create 8;
+    keep_events = events;
     events = [];
     event_count = 0;
   }
@@ -102,8 +104,10 @@ let emit obs e =
   match obs with
   | None -> ()
   | Some t ->
-      t.events <- e :: t.events;
-      t.event_count <- t.event_count + 1;
+      if t.keep_events then begin
+        t.events <- e :: t.events;
+        t.event_count <- t.event_count + 1
+      end;
       tally t e
 
 let events t = List.rev t.events

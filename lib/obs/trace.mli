@@ -21,9 +21,15 @@ type span = {
 
 type t
 
-val make : clock:Clock.t -> unit -> t
+val make : ?events:bool -> clock:Clock.t -> unit -> t
 (** Fresh empty context. Pass [Unix.gettimeofday] (or any monotonic
-    reader) in binaries, {!Clock.fake} in tests. *)
+    reader) in binaries, {!Clock.fake} in tests. With [~events:false]
+    the context keeps spans, counters and gauges but no event stream:
+    {!emit} still tallies every event into its cells, so every counter
+    and gauge is the same as in a full context, while {!events} stays
+    empty and {!event_count} 0. A caller that reads only spans and
+    counters (the service's per-request trace) saves the list. The
+    default keeps the stream. *)
 
 val span : t option -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [span obs name f] runs [f] inside a span; the span closes (and its

@@ -53,23 +53,30 @@ type t = {
 
 let serve_options_salt = "serve/ladder-default"
 
-let job_key ~machine loop =
+type prints = { loop_print : string; machine_print : string }
+
+(* The two content fingerprints behind both of a request's keys,
+   computed once per request. *)
+let prints ~machine loop =
+  {
+    loop_print = Core.Batch.fingerprint_loop loop;
+    machine_print = Core.Batch.fingerprint_machine machine;
+  }
+
+let job_key_of_prints p =
   Engine.Key.make
     [
-      ("loop", Core.Batch.fingerprint_loop loop);
-      ("machine", Core.Batch.fingerprint_machine machine);
+      ("loop", p.loop_print);
+      ("machine", p.machine_print);
       ("options", serve_options_salt);
     ]
 
-let quarantine_key ~machine ~fault loop =
+let job_key ~machine loop = job_key_of_prints (prints ~machine loop)
+
+let quarantine_key p ~fault =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00"
-          [
-            Core.Batch.fingerprint_loop loop;
-            Core.Batch.fingerprint_machine machine;
-            Option.value ~default:"" fault;
-          ]))
+       (String.concat "\x00" [ p.loop_print; p.machine_print; Option.value ~default:"" fault ]))
 
 (* ------------------------------------------------------------------ *)
 (* One connection                                                      *)
@@ -220,7 +227,8 @@ let handle_compile srv ~conn ~send (c : Proto.compile) =
                ~stage:Verify.Stage_error.Ir_input ~subject:c.Proto.id
                (Printf.sprintf "machine rejected: %s" m))
       | Ok machine -> (
-          let qkey = quarantine_key ~machine ~fault:c.Proto.fault loop in
+          let prints = prints ~machine loop in
+          let qkey = quarantine_key prints ~fault:c.Proto.fault in
           match Worker.quarantined srv.pool qkey with
           | Some crashes ->
               structured_failure (Proto.quarantine_error ~id:c.Proto.id ~crashes)
@@ -237,7 +245,7 @@ let handle_compile srv ~conn ~send (c : Proto.compile) =
               in
               let key =
                 if c.Proto.no_cache || srv.cfg.cache = None then None
-                else Some (job_key ~machine loop)
+                else Some (job_key_of_prints prints)
               in
               let job =
                 {

@@ -68,3 +68,17 @@ val job_key : machine:Mach.Machine.t -> Ir.Loop.t -> string
 (** The content-addressed cache key serve uses for a request — exposed
     so tests can pre-seed or corrupt exactly the entry a request will
     probe. *)
+
+type prints
+(** A request's loop and machine fingerprints ([Core.Batch]), from
+    which both of its keys are made. *)
+
+val prints : machine:Mach.Machine.t -> Ir.Loop.t -> prints
+
+val job_key_of_prints : prints -> string
+(** [job_key_of_prints (prints ~machine loop) = job_key ~machine loop]. *)
+
+val quarantine_key : prints -> fault:string option -> string
+(** The key under which crashes of a request are counted toward its
+    quarantine: the loop, the machine and the requested service
+    fault. *)

@@ -129,8 +129,9 @@ let compile_job t (job : job) =
     (* A private trace on the service clock, handed to [deliver] with
        the reply: the server folds its counters into the stats table and
        its spans into the flight recorder (and into the reply, when the
-       client asked). *)
-    let tr = Obs.Trace.make ~clock:(fun () -> t.clock ()) () in
+       client asked). Nothing reads its decision events, so it keeps
+       none; their tallies still reach the counters. *)
+    let tr = Obs.Trace.make ~events:false ~clock:(fun () -> t.clock ()) () in
     let cached =
       match (t.cache, job.key) with
       | Some c, Some key -> (

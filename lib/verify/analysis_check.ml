@@ -45,19 +45,21 @@ let check ?obs ?ddg ?(latency = Mach.Latency.paper) ?(remat_info = false) loop =
     (* IR003 already flags definitions nothing ever reads; the dataflow
        version adds only the transitive tail of a dead chain — ops whose
        result is read, but exclusively by other dead ops. *)
-    let read = syntactically_read (Ir.Loop.ops loop) in
     let dead =
-      List.filter_map
-        (fun op ->
-          match Ir.Op.dst op with
-          | Some d when Ir.Vreg.Set.mem d read ->
-              Some
-                (Diag.warning Diag.Analysis ~code:"AN006" ~loc:(op_loc op)
-                   (Printf.sprintf
-                      "register %s is read only by transitively dead code"
-                      (Ir.Vreg.to_string d)))
-          | _ -> None)
-        (Analysis.Liveness.dead_ops ~live loop)
+      match Analysis.Liveness.dead_ops ~live loop with
+      | [] -> []
+      | dead_ops ->
+          let read = syntactically_read (Ir.Loop.ops loop) in
+          List.filter_map
+            (fun op ->
+              match Ir.Op.dst op with
+              | Some d when Ir.Vreg.Set.mem d read ->
+                  Some
+                    (Diag.warning Diag.Analysis ~code:"AN006" ~loc:(op_loc op)
+                       (Printf.sprintf "register %s is read only by transitively dead code"
+                          (Ir.Vreg.to_string d)))
+              | _ -> None)
+            dead_ops
     in
     let remat =
       match vr with

@@ -1,143 +1,296 @@
 let op_loc op = Printf.sprintf "op %d (%s)" (Ir.Op.id op) (Ir.Op.to_string op)
 
-let coverage ~ddg placed =
-  let scheduled = Hashtbl.create 32 in
-  List.iter (fun (p : Sched.Schedule.placement) -> Hashtbl.replace scheduled (Ir.Op.id p.op) ())
-    placed;
-  let ddg_ids = Hashtbl.create 32 in
-  List.iter (fun op -> Hashtbl.replace ddg_ids (Ir.Op.id op) ()) (Ddg.Graph.ops_in_order ddg);
+(* Op ids mapped to the index each came from (the first, for a repeated
+   id): an array indexed by id when the ids are small, else the ids
+   sorted, searched by bisection. *)
+type ids = Table of int array | Sorted of { sorted : int array; at : int array }
+
+let index_ids ids =
+  let n = Array.length ids in
+  let lo = Array.fold_left min 0 ids and hi = Array.fold_left max (-1) ids in
+  if lo >= 0 && hi < (4 * n) + 64 then begin
+    let t = Array.make (hi + 1) (-1) in
+    for k = n - 1 downto 0 do
+      t.(ids.(k)) <- k
+    done;
+    Table t
+  end
+  else begin
+    let at = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> Int.compare ids.(a) ids.(b)) at;
+    Sorted { sorted = Array.map (fun k -> ids.(k)) at; at }
+  end
+
+let find t id =
+  match t with
+  | Table t -> if id >= 0 && id < Array.length t then t.(id) else -1
+  | Sorted { sorted; at } ->
+      let rec go lo hi =
+        if lo >= hi then if lo < Array.length sorted && sorted.(lo) = id then at.(lo) else -1
+        else
+          let mid = (lo + hi) / 2 in
+          if sorted.(mid) < id then go (mid + 1) hi else go lo mid
+      in
+      go 0 (Array.length sorted)
+
+(* A schedule's placements as per-op arrays, in placement order. *)
+type placed = {
+  ops : Ir.Op.t array;
+  cycles : int array;
+  clusters : int array;
+  by_id : ids;
+}
+
+let placed_of (ps : Sched.Schedule.placement list) =
+  let n = List.length ps in
+  let ops = match ps with [] -> [||] | p :: _ -> Array.make n p.op in
+  let cycles = Array.make n 0 and clusters = Array.make n 0 in
+  List.iteri
+    (fun k (p : Sched.Schedule.placement) ->
+      ops.(k) <- p.op;
+      cycles.(k) <- p.cycle;
+      clusters.(k) <- p.cluster)
+    ps;
+  { ops; cycles; clusters; by_id = index_ids (Array.map Ir.Op.id ops) }
+
+let coverage ~ddg pl =
+  let order = Array.of_list ddg.Ddg.Graph.order in
+  let ddg_ids = index_ids order in
   let missing =
     List.filter_map
-      (fun op ->
-        if Hashtbl.mem scheduled (Ir.Op.id op) then None
+      (fun id ->
+        if find pl.by_id id >= 0 then None
         else
           Some
-            (Diag.error Diag.Sched ~code:"SCH001" ~loc:(op_loc op)
+            (Diag.error Diag.Sched ~code:"SCH001" ~loc:(op_loc (Ddg.Graph.op ddg id))
                "operation is not scheduled"))
-      (Ddg.Graph.ops_in_order ddg)
+      ddg.Ddg.Graph.order
   in
-  let foreign =
-    List.filter_map
-      (fun (p : Sched.Schedule.placement) ->
-        if Hashtbl.mem ddg_ids (Ir.Op.id p.op) then None
-        else
-          Some
-            (Diag.error Diag.Sched ~code:"SCH005" ~loc:(op_loc p.op)
-               "scheduled operation does not belong to the dependence graph"))
-      placed
-  in
-  missing @ foreign
+  let foreign = ref [] in
+  for k = Array.length pl.ops - 1 downto 0 do
+    if find ddg_ids (Ir.Op.id pl.ops.(k)) < 0 then
+      foreign :=
+        Diag.error Diag.Sched ~code:"SCH005" ~loc:(op_loc pl.ops.(k))
+          "scheduled operation does not belong to the dependence graph"
+        :: !foreign
+  done;
+  missing @ !foreign
 
 (* Every edge: t(dst) - t(src) >= latency - ii * distance. A flat
-   schedule is the ii = infinity case restricted to distance-0 edges. *)
-let edges ~graph ~ii cycle_of =
+   schedule is the ii = infinity case restricted to distance-0 edges.
+   Cycles come from the placement arrays, found by op id. *)
+let edges ~graph ~ii pl =
   List.rev
     (Graphlib.Digraph.fold_edges
        (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) acc ->
-         match (cycle_of e.src, cycle_of e.dst) with
-         | Some ts, Some td ->
-             let need = Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label) in
-             if td - ts >= need then acc
-             else
-               Diag.error Diag.Sched ~code:"SCH002"
-                 ~loc:(Printf.sprintf "edge %d->%d" e.src e.dst)
-                 (Printf.sprintf "%s dependence violated: cycle %d - %d < %d"
-                    (Ddg.Dep.to_string e.label) td ts need)
-               :: acc
-         | None, _ | _, None -> acc (* reported by coverage *))
+         let s = find pl.by_id e.src and d = find pl.by_id e.dst in
+         if s < 0 || d < 0 then acc (* reported by coverage *)
+         else
+           let ts = pl.cycles.(s) and td = pl.cycles.(d) in
+           let need = Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label) in
+           if td - ts >= need then acc
+           else
+             Diag.error Diag.Sched ~code:"SCH002"
+               ~loc:(Printf.sprintf "edge %d->%d" e.src e.dst)
+               (Printf.sprintf "%s dependence violated: cycle %d - %d < %d"
+                  (Ddg.Dep.to_string e.label) td ts need)
+             :: acc)
        graph [])
+
+(* SCH003 findings are reported in the order that folding a [Hashtbl]
+   of the counted keys lists them, consing each finding: the order
+   [rbp lint] output and its digest pin. A table made by [Hashtbl.create
+   initial] (a power of two, at least 16) doubles its buckets whenever
+   it holds more than twice as many keys as buckets; a key sits in
+   bucket [Hashtbl.hash key land (buckets - 1)]; a bucket holds its keys
+   newest first, and resizing keeps that order. [Hashtbl.fold] walks the
+   buckets upwards, and consing its findings onto the accumulator
+   reverses the walk. So the findings come out by bucket, highest
+   first, and within a bucket in the order the keys were first
+   inserted. [cells] are the reported keys, [hash] and [first] their
+   hash and first-insertion rank, and [keys] how many distinct keys the
+   table held. *)
+let buckets ~initial ~keys =
+  let rec size b = if keys <= 2 * b then b else size (2 * b) in
+  size initial
+
+let fold_order ~initial ~keys ~hash ~first cells =
+  let buckets = buckets ~initial ~keys in
+  let bucket c = hash c land (buckets - 1) in
+  List.stable_sort
+    (fun a b ->
+      let c = Int.compare (bucket b) (bucket a) in
+      if c <> 0 then c else Int.compare (first a) (first b))
+    cells
+
+let fu_classes =
+  [| Mach.Machine.General; Mach.Machine.Integer; Mach.Machine.Float_fu; Mach.Machine.Memory |]
+
+let class_index : Mach.Machine.fu_class -> int = function
+  | Mach.Machine.General -> 0
+  | Mach.Machine.Integer -> 1
+  | Mach.Machine.Float_fu -> 2
+  | Mach.Machine.Memory -> 3
 
 (* Per-(cluster, normalized cycle) capacity counting. Specialized unit
    mixes use Hall's condition: each class's demand beyond its dedicated
-   units must fit in the General pool. *)
-let resources ~machine ~normalize placed =
+   units must fit in the General pool.
+
+   Counts live in dense arrays over cells [cluster * nslots + slot
+   rank], the slots being the distinct normalized cycles in ascending
+   order. Each count keeps the rank at which its key was first counted,
+   which, with the key's hash, fixes where its finding is listed (see
+   [fold_order]): functional units in a table of initial size 64, copy
+   ports and busses (keyed by slot alone) in tables of 16. *)
+let resources ~machine ~normalize pl =
   let m : Mach.Machine.t = machine in
-  let fu_slots = Hashtbl.create 64 in     (* (cluster, slot) -> fu ops *)
-  let class_demand = Hashtbl.create 64 in (* (cluster, slot, class) -> ops *)
-  let ports = Hashtbl.create 16 in        (* (cluster, slot) -> copies *)
-  let busses = Hashtbl.create 16 in       (* slot -> copies *)
-  let bad_cluster = ref [] in
-  List.iter
-    (fun (p : Sched.Schedule.placement) ->
-      if not (Mach.Machine.valid_cluster m p.cluster) then
-        bad_cluster :=
-          Diag.error Diag.Sched ~code:"SCH004" ~loc:(op_loc p.op)
-            (Printf.sprintf "placed on cluster %d of a %d-cluster machine" p.cluster
-               m.clusters)
-          :: !bad_cluster
-      else begin
-        let slot = normalize p.cycle in
-        let bump tbl key = Hashtbl.replace tbl key
-            (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-        in
-        match (m.copy_model, Ir.Op.is_copy p.op) with
-        | Mach.Machine.Copy_unit, true ->
-            bump ports (p.cluster, slot);
-            bump busses slot
-        | (Mach.Machine.Embedded | Mach.Machine.Copy_unit), _ ->
-            bump fu_slots (p.cluster, slot);
-            if not (Mach.Machine.is_general_only m) then
-              List.iter
-                (fun fc -> bump class_demand (p.cluster, slot, fc))
-                (Mach.Machine.allowed_classes (Ir.Op.opcode p.op) (Ir.Op.cls p.op))
-      end)
-    placed;
-  let over tbl cap what =
-    Hashtbl.fold
-      (fun key n acc ->
-        if n <= cap then acc
-        else
-          Diag.error Diag.Sched ~code:"SCH003" ~loc:(what key)
-            (Printf.sprintf "%d issued where capacity is %d" n cap)
-          :: acc)
-      tbl []
+  let n = Array.length pl.ops in
+  let valid = Array.map (Mach.Machine.valid_cluster m) pl.clusters in
+  let slot = Array.map normalize pl.cycles in
+  let slots =
+    let s = ref [] in
+    for k = n - 1 downto 0 do
+      if valid.(k) then s := slot.(k) :: !s
+    done;
+    Array.of_list (List.sort_uniq Int.compare !s)
   in
+  let nslots = Array.length slots in
+  let rank x =
+    let rec go lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if slots.(mid) < x then go (mid + 1) hi else go lo mid
+    in
+    go 0 nslots
+  in
+  let ncells = m.clusters * nslots in
+  (* A table of counts: per key, its count and first-insertion rank. *)
+  let table size = (Array.make size 0, Array.make size (-1), ref 0) in
+  let bump (count, first, keys) k =
+    if count.(k) = 0 then begin
+      first.(k) <- !keys;
+      incr keys
+    end;
+    count.(k) <- count.(k) + 1
+  in
+  let fu_slots = table ncells and ports = table ncells and busses = table nslots in
+  let typed = not (Mach.Machine.is_general_only m) in
+  let class_demand = table (if typed then 4 * ncells else 0) in
+  let bad_cluster = ref [] in
+  for k = 0 to n - 1 do
+    let op = pl.ops.(k) and cluster = pl.clusters.(k) in
+    if not valid.(k) then
+      bad_cluster :=
+        Diag.error Diag.Sched ~code:"SCH004" ~loc:(op_loc op)
+          (Printf.sprintf "placed on cluster %d of a %d-cluster machine" cluster m.clusters)
+        :: !bad_cluster
+    else begin
+      let s = rank slot.(k) in
+      let cell = (cluster * nslots) + s in
+      match (m.copy_model, Ir.Op.is_copy op) with
+      | Mach.Machine.Copy_unit, true ->
+          bump ports cell;
+          bump busses s
+      | (Mach.Machine.Embedded | Mach.Machine.Copy_unit), _ ->
+          bump fu_slots cell;
+          if typed then
+            List.iter
+              (fun fc -> bump class_demand ((4 * cell) + class_index fc))
+              (Mach.Machine.allowed_classes (Ir.Op.opcode op) (Ir.Op.cls op))
+    end
+  done;
+  let cluster_of cell = cell / nslots and slot_of cell = slots.(cell mod nslots) in
+  let over (count, first, keys) ~initial cap ~hash what =
+    let cells = ref [] in
+    Array.iteri (fun c x -> if x > 0 && x > cap then cells := c :: !cells) count;
+    List.map
+      (fun c ->
+        Diag.error Diag.Sched ~code:"SCH003" ~loc:(what c)
+          (Printf.sprintf "%d issued where capacity is %d" count.(c) cap))
+      (fold_order ~initial ~keys:!keys ~hash ~first:(fun c -> first.(c)) !cells)
+  in
+  let cell_hash c = Hashtbl.hash (cluster_of c, slot_of c) in
   let fu_over =
-    over fu_slots m.fus_per_cluster (fun (c, s) ->
-        Printf.sprintf "functional units, cluster %d slot %d" c s)
+    over fu_slots ~initial:64 m.fus_per_cluster ~hash:cell_hash (fun c ->
+        Printf.sprintf "functional units, cluster %d slot %d" (cluster_of c) (slot_of c))
   in
   let port_over =
-    over ports m.copy_ports (fun (c, s) -> Printf.sprintf "copy ports, cluster %d slot %d" c s)
+    over ports ~initial:16 m.copy_ports ~hash:cell_hash (fun c ->
+        Printf.sprintf "copy ports, cluster %d slot %d" (cluster_of c) (slot_of c))
   in
-  let bus_over = over busses m.busses (fun s -> Printf.sprintf "busses, slot %d" s) in
+  let bus_over =
+    over busses ~initial:16 m.busses
+      ~hash:(fun s -> Hashtbl.hash slots.(s))
+      (fun s -> Printf.sprintf "busses, slot %d" slots.(s))
+  in
   let hall =
-    if Mach.Machine.is_general_only m then []
+    if not typed then []
     else begin
       let cap_of fc = Option.value ~default:0 (List.assoc_opt fc m.fu_mix) in
       let general = cap_of Mach.Machine.General in
-      let by_slot = Hashtbl.create 32 in
-      Hashtbl.iter
-        (fun (c, s, fc) n ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt by_slot (c, s)) in
-          Hashtbl.replace by_slot (c, s) ((fc, n) :: cur))
-        class_demand;
-      Hashtbl.fold
-        (fun (c, s) demands acc ->
-          let overflow =
-            List.fold_left (fun acc (fc, n) -> acc + max 0 (n - cap_of fc)) 0 demands
+      let demand, first, keys = class_demand in
+      let overflow cell =
+        let o = ref 0 in
+        for j = 0 to 3 do
+          o := !o + max 0 (demand.((4 * cell) + j) - cap_of fu_classes.(j))
+        done;
+        !o
+      in
+      let cells = ref [] and with_demand = ref 0 in
+      for cell = ncells - 1 downto 0 do
+        if first.(4 * cell) >= 0 || first.((4 * cell) + 1) >= 0
+           || first.((4 * cell) + 2) >= 0 || first.((4 * cell) + 3) >= 0
+        then begin
+          incr with_demand;
+          if overflow cell > general then cells := cell :: !cells
+        end
+      done;
+      if !cells = [] then []
+      else begin
+        (* Class demands are counted per (cluster, slot, class) key in a
+           table of initial size 64 and grouped per cell into a table of
+           32 by iterating the first: a cell enters the second at its
+           first key in that iteration, which walks the buckets upwards
+           and each bucket newest first. *)
+        let buckets = buckets ~initial:64 ~keys:!keys in
+        let visit key =
+          let c = key / 4 in
+          let bucket =
+            Hashtbl.hash (cluster_of c, slot_of c, fu_classes.(key mod 4)) land (buckets - 1)
           in
-          if overflow <= general then acc
-          else
+          (bucket * (!keys + 1)) + (!keys - first.(key))
+        in
+        let entered cell =
+          let e = ref max_int in
+          for j = 0 to 3 do
+            let key = (4 * cell) + j in
+            if first.(key) >= 0 then e := min !e (visit key)
+          done;
+          !e
+        in
+        List.map
+          (fun c ->
             Diag.error Diag.Sched ~code:"SCH003"
-              ~loc:(Printf.sprintf "specialized units, cluster %d slot %d" c s)
-              (Printf.sprintf "class overflow %d exceeds %d general units" overflow general)
-            :: acc)
-        by_slot []
+              ~loc:
+                (Printf.sprintf "specialized units, cluster %d slot %d" (cluster_of c)
+                   (slot_of c))
+              (Printf.sprintf "class overflow %d exceeds %d general units" (overflow c) general))
+          (fold_order ~initial:32 ~keys:!with_demand ~hash:cell_hash ~first:entered !cells)
+      end
     end
   in
   !bad_cluster @ fu_over @ port_over @ bus_over @ hall
 
 let kernel ~machine ~ddg k =
-  let placed = Sched.Kernel.placements k in
+  let pl = placed_of (Sched.Kernel.placements k) in
   let ii = Sched.Kernel.ii k in
-  let cycle_of id = try Some (Sched.Kernel.cycle_of k id) with Not_found -> None in
-  coverage ~ddg placed
-  @ edges ~graph:(Ddg.Graph.graph ddg) ~ii cycle_of
-  @ resources ~machine ~normalize:(fun c -> c mod ii) placed
+  coverage ~ddg pl
+  @ edges ~graph:(Ddg.Graph.graph ddg) ~ii pl
+  @ resources ~machine ~normalize:(fun c -> c mod ii) pl
 
 let flat ~machine ~ddg sched =
-  let placed = Sched.Schedule.placements sched in
-  let cycle_of id = try Some (Sched.Schedule.cycle_of sched id) with Not_found -> None in
-  coverage ~ddg placed
-  @ edges ~graph:(Ddg.Graph.loop_independent ddg) ~ii:0 cycle_of
-  @ resources ~machine ~normalize:(fun c -> c) placed
+  let pl = placed_of (Sched.Schedule.placements sched) in
+  coverage ~ddg pl
+  @ edges ~graph:(Ddg.Graph.loop_independent ddg) ~ii:0 pl
+  @ resources ~machine ~normalize:(fun c -> c) pl

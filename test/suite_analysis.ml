@@ -147,7 +147,7 @@ let reachdef_tests =
                e.Analysis.Depan.src = 1 && e.Analysis.Depan.dst = 1
                && e.Analysis.Depan.kind = Ddg.Dep.Flow
                && e.Analysis.Depan.distance = 1)
-             dep.Analysis.Depan.edges));
+             (Analysis.Depan.edges dep)));
     qcheck ~count:150 "ddg-and-analysis-agree-edge-by-edge" gen_loop_seed (fun seed ->
         let loop = loop_of_seed seed in
         let dep = Analysis.Depan.of_loop loop in
@@ -166,7 +166,7 @@ let reachdef_tests =
             (fun (e : Analysis.Depan.edge) ->
               ((e.Analysis.Depan.src, e.Analysis.Depan.dst, e.Analysis.Depan.kind),
                e.Analysis.Depan.distance))
-            dep.Analysis.Depan.edges
+            (Analysis.Depan.edges dep)
         in
         let ok = ref true in
         Graphlib.Digraph.iter_edges
@@ -232,7 +232,7 @@ let reachdef_tests =
               && sorted rest
           | _ -> true
         in
-        sorted dep.Analysis.Depan.edges);
+        sorted (Analysis.Depan.edges dep));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -502,6 +502,600 @@ let liveness_oracle_tests =
           [ 1; 4 ]);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The array solver against the list/Queue worklist it replaced        *)
+(* ------------------------------------------------------------------ *)
+
+(* The original solver, kept verbatim as the oracle. *)
+module Solver_ref = struct
+  open Analysis.Solver
+
+  module Make (P : PROBLEM) = struct
+    module D = P.D
+
+    type result = { input : D.t array; output : D.t array; stats : stats }
+
+    let solve ?(widen_after = 8) ?max_iterations ~nodes ~edges ~init () =
+      let max_iterations =
+        match max_iterations with Some m -> m | None -> max 256 (64 * nodes)
+      in
+      let preds = Array.make nodes [] in
+      let succs = Array.make nodes [] in
+      List.iter
+        (fun (src, dst) ->
+          if src < 0 || src >= nodes || dst < 0 || dst >= nodes then
+            invalid_arg "Solver.solve: edge endpoint out of range";
+          preds.(dst) <- src :: preds.(dst);
+          succs.(src) <- dst :: succs.(src))
+        edges;
+      (* Deterministic propagation order: predecessors in ascending node
+         order, successors likewise. *)
+      Array.iteri (fun i l -> preds.(i) <- List.sort_uniq compare l) preds;
+      Array.iteri (fun i l -> succs.(i) <- List.sort_uniq compare l) succs;
+      let input = Array.init nodes (fun i -> init i) in
+      let output = Array.init nodes (fun i -> P.transfer i input.(i)) in
+      let updates = Array.make nodes 0 in
+      let queued = Array.make nodes true in
+      let queue = Queue.create () in
+      for i = 0 to nodes - 1 do
+        Queue.add i queue
+      done;
+      let iterations = ref 0 in
+      let widenings = ref 0 in
+      let converged = ref true in
+      while not (Queue.is_empty queue) do
+        let v = Queue.pop queue in
+        queued.(v) <- false;
+        if !iterations >= max_iterations then begin
+          converged := false;
+          Queue.clear queue
+        end
+        else begin
+          incr iterations;
+          let contribution =
+            List.fold_left
+              (fun acc p -> D.join acc (P.edge ~src:p ~dst:v output.(p)))
+              (init v) preds.(v)
+          in
+          let next =
+            if updates.(v) >= widen_after && not (D.equal contribution input.(v)) then begin
+              incr widenings;
+              D.widen ~old:input.(v) ~next:contribution
+            end
+            else D.join input.(v) contribution
+          in
+          if not (D.equal next input.(v)) then begin
+            updates.(v) <- updates.(v) + 1;
+            input.(v) <- next;
+            output.(v) <- P.transfer v next;
+            List.iter
+              (fun s ->
+                if not queued.(s) then begin
+                  queued.(s) <- true;
+                  Queue.add s queue
+                end)
+              succs.(v)
+          end
+        end
+      done;
+      {
+        input;
+        output;
+        stats = { iterations = !iterations; widenings = !widenings; converged = !converged };
+      }
+  end
+end
+
+(* Sets of at most 62 small numbers, one bit each: a finite-height
+   powerset lattice. Transfers are deliberately not monotone, so some
+   instances oscillate until the budget runs out. *)
+module Bitset = struct
+  type t = int
+
+  let bottom = 0
+  let equal = Int.equal
+  let join = ( lor )
+  let widen ~old ~next = old lor next
+  let pp fmt x = Format.fprintf fmt "%x" x
+end
+
+(* Counters climbing one step per node: unbounded, so the ring only
+   stops through widening (to [top]) or the budget. *)
+module Counter_dom (W : sig
+  val widens : bool
+end) =
+struct
+  type t = int
+
+  let top = 1_000_000
+  let bottom = 0
+  let equal = Int.equal
+  let join = max
+  let widen ~old ~next = if W.widens && next > old then top else max old next
+  let pp = Format.pp_print_int
+end
+
+type solve_case = {
+  nodes : int;
+  edges : (int * int) list;
+  seed : int;  (* picks the transfer, edge and boundary functions *)
+  widen_after : int option;
+  max_iterations : int option;
+}
+
+let bitset_problem seed =
+  let module P = struct
+    module D = Bitset
+
+    let transfer i x =
+      let gen = 1 lsl ((i * 7 + seed) mod 20) and kill = 1 lsl ((i * 13 + seed) mod 23) in
+      if (i + seed) mod 5 = 0 then x lxor gen (* not monotone *) else gen lor (x land lnot kill)
+
+    let edge ~src ~dst x = if src >= dst then (x lsl 1) land 0xfffff else x
+  end in
+  (module P : Analysis.Solver.PROBLEM with type D.t = int)
+
+let counter_problem widens =
+  let module P = struct
+    module D = Counter_dom (struct
+      let widens = widens
+    end)
+
+    let transfer _ x = if x >= D.top then x else x + 1
+    let edge ~src:_ ~dst:_ x = x
+  end in
+  (module P : Analysis.Solver.PROBLEM with type D.t = int)
+
+let same_solve (module P : Analysis.Solver.PROBLEM with type D.t = int) c =
+  let module S = Analysis.Solver.Make (P) in
+  let module R = Solver_ref.Make (P) in
+  let init i = if (i + c.seed) mod 3 = 0 then 1 lsl (i mod 17) else 0 in
+  let got =
+    S.solve ?widen_after:c.widen_after ?max_iterations:c.max_iterations ~nodes:c.nodes
+      ~edges:c.edges ~init ()
+  and want =
+    R.solve ?widen_after:c.widen_after ?max_iterations:c.max_iterations ~nodes:c.nodes
+      ~edges:c.edges ~init ()
+  in
+  got.S.input = want.R.input && got.S.output = want.R.output && got.S.stats = want.R.stats
+
+(* A random graph: duplicate edges, self-loops, and nodes no edge
+   reaches. *)
+let random_case seed =
+  let st = Random.State.make [| seed |] in
+  let nodes = 1 + Random.State.int st 40 in
+  let reachable = 1 + Random.State.int st nodes in
+  let edges =
+    List.init (Random.State.int st (3 * nodes))
+      (fun _ -> (Random.State.int st reachable, Random.State.int st reachable))
+  in
+  let edges = List.concat [ edges; List.filteri (fun k _ -> k mod 3 = 0) edges ] in
+  let edges = if seed mod 2 = 0 then (0, 0) :: edges else edges in
+  { nodes; edges; seed; widen_after = None; max_iterations = None }
+
+let solver_ref_tests =
+  [
+    case "rings" (fun () ->
+        for n = 1 to 60 do
+          List.iter
+            (fun edges ->
+              let c =
+                { nodes = n; edges; seed = n; widen_after = None; max_iterations = None }
+              in
+              check Alcotest.bool (Printf.sprintf "bitset ring %d" n) true
+                (same_solve (bitset_problem n) c);
+              check Alcotest.bool (Printf.sprintf "counter ring %d" n) true
+                (same_solve (counter_problem true) c))
+            [ Analysis.Solver.ring n; Analysis.Solver.ring_rev n ]
+        done);
+    qcheck ~count:300 "random-graphs" gen_loop_seed (fun seed ->
+        let c = random_case seed in
+        same_solve (bitset_problem seed) c
+        && same_solve (bitset_problem seed) { c with widen_after = Some (seed mod 4) }
+        && same_solve (counter_problem true) c);
+    case "widening-reached" (fun () ->
+        let c =
+          { nodes = 9; edges = Analysis.Solver.ring 9; seed = 0; widen_after = Some 2;
+            max_iterations = None }
+        in
+        let module S = Analysis.Solver.Make ((val counter_problem true)) in
+        let r =
+          S.solve ?widen_after:c.widen_after ~nodes:c.nodes ~edges:c.edges ~init:(fun _ -> 0) ()
+        in
+        check Alcotest.bool "widened" true (r.S.stats.Analysis.Solver.widenings > 0);
+        check Alcotest.bool "converged" true r.S.stats.Analysis.Solver.converged;
+        check Alcotest.bool "same as reference" true (same_solve (counter_problem true) c));
+    case "budget-exhausted" (fun () ->
+        List.iter
+          (fun max_iterations ->
+            let c =
+              { nodes = 7; edges = Analysis.Solver.ring 7; seed = 0; widen_after = None;
+                max_iterations = Some max_iterations }
+            in
+            let module S = Analysis.Solver.Make ((val counter_problem false)) in
+            let r =
+              S.solve ?max_iterations:c.max_iterations ~nodes:c.nodes ~edges:c.edges
+                ~init:(fun _ -> 0) ()
+            in
+            check Alcotest.bool "not converged" false r.S.stats.Analysis.Solver.converged;
+            check Alcotest.int "spent the budget" max_iterations
+              r.S.stats.Analysis.Solver.iterations;
+            check Alcotest.bool "same as reference" true (same_solve (counter_problem false) c))
+          [ 0; 1; 6; 7; 50 ]);
+    case "out-of-range-edge-raises" (fun () ->
+        let module S = Analysis.Solver.Make ((val counter_problem true)) in
+        List.iter
+          (fun edges ->
+            match S.solve ~nodes:3 ~edges ~init:(fun _ -> 0) () with
+            | _ -> Alcotest.fail "expected Invalid_argument"
+            | exception Invalid_argument _ -> ())
+          [ [ (0, 3) ]; [ (3, 0) ]; [ (0, 1); (-1, 2) ]; [ (1, -1) ] ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Array Depan and merge Validate against the list/Map versions         *)
+(* ------------------------------------------------------------------ *)
+
+(* The original dependence analysis, kept verbatim as the oracle: edge
+   records gathered in a list, registers in sets and tables. *)
+module Depan_ref = struct
+  open Analysis
+
+  type edge = Depan.edge = {
+    src : int;
+    dst : int;
+    kind : Ddg.Dep.kind;
+    latency : int;
+    distance : int;
+  }
+
+  let kind_rank = Depan.kind_rank
+
+  let compare_edge a b =
+    let c = compare a.src b.src in
+    if c <> 0 then c
+    else
+      let c = compare a.dst b.dst in
+      if c <> 0 then c
+      else
+        let c = compare (kind_rank a.kind) (kind_rank b.kind) in
+        if c <> 0 then c else compare a.distance b.distance
+
+  let distinct_uses op =
+    List.fold_left
+      (fun s r -> Ir.Vreg.Set.add r s)
+      Ir.Vreg.Set.empty (Ir.Op.uses op)
+
+  let of_loop ?(latency = Mach.Latency.paper) loop =
+    let arr = Array.of_list (Ir.Loop.ops loop) in
+    let n = Array.length arr in
+    let rd = Reachdef.of_loop loop in
+    let op_by_id = Hashtbl.create n in
+    Array.iter (fun op -> Hashtbl.replace op_by_id (Ir.Op.id op) op) arr;
+    let lat_of id = Ir.Op.latency latency (Hashtbl.find op_by_id id) in
+    let def_positions = Ir.Vreg.Tbl.create 16 in
+    Array.iteri
+      (fun i op ->
+        List.iter
+          (fun d ->
+            let prev = Option.value ~default:[] (Ir.Vreg.Tbl.find_opt def_positions d) in
+            Ir.Vreg.Tbl.replace def_positions d (i :: prev))
+          (Ir.Op.defs op))
+      arr;
+    Ir.Vreg.Tbl.filter_map_inplace (fun _ l -> Some (List.rev l)) def_positions;
+    let edges = ref [] in
+    let emit src dst kind latency distance =
+      edges := { src; dst; kind; latency; distance } :: !edges
+    in
+    for q = 0 to n - 1 do
+      let oq = arr.(q) in
+      let qid = Ir.Op.id oq in
+      Ir.Vreg.Set.iter
+        (fun r ->
+          let reaching = Reachdef.reaching rd ~pos:q r in
+          List.iter
+            (fun (def_id, d) -> emit def_id qid Ddg.Dep.Flow (lat_of def_id) d)
+            reaching;
+          let reads_current = List.exists (fun (_, d) -> d = 0) reaching in
+          if reads_current then
+            List.iter
+              (fun k ->
+                if k > q then emit qid (Ir.Op.id arr.(k)) Ddg.Dep.Anti 0 0)
+              (Option.value ~default:[] (Ir.Vreg.Tbl.find_opt def_positions r)))
+        (distinct_uses oq)
+    done;
+    Ir.Vreg.Tbl.iter
+      (fun _ positions ->
+        List.iteri
+          (fun i p ->
+            List.iteri
+              (fun j k ->
+                if j > i then
+                  emit (Ir.Op.id arr.(p)) (Ir.Op.id arr.(k)) Ddg.Dep.Output 1 0)
+              positions)
+          positions)
+      def_positions;
+    let refs =
+      Array.to_list (Array.mapi (fun i op -> (i, op, Aaddr.of_op op)) arr)
+    in
+    let mem_lat (kind : Ddg.Dep.kind_mem) src_pos =
+      match kind with
+      | Ddg.Dep.Mem_flow -> Ir.Op.latency latency arr.(src_pos)
+      | Ddg.Dep.Mem_anti | Ddg.Dep.Mem_output -> 1
+    in
+    List.iter
+      (fun (p, op_p, ap) ->
+        match ap with
+        | None -> ()
+        | Some a ->
+            List.iter
+              (fun (q, op_q, aq) ->
+                match aq with
+                | None -> ()
+                | Some b when a.Aaddr.store || b.Aaddr.store ->
+                    let kind : Ddg.Dep.kind_mem =
+                      match (a.Aaddr.store, b.Aaddr.store) with
+                      | true, false -> Ddg.Dep.Mem_flow
+                      | false, true -> Ddg.Dep.Mem_anti
+                      | true, true -> Ddg.Dep.Mem_output
+                      | false, false -> assert false
+                    in
+                    let min_dist = if p < q then 0 else 1 in
+                    let emit_mem d =
+                      if d >= min_dist then
+                        emit (Ir.Op.id op_p) (Ir.Op.id op_q) (Ddg.Dep.Mem kind)
+                          (mem_lat kind p) d
+                    in
+                    (match Aaddr.dependence ~src:a ~dst:b with
+                    | Aaddr.Independent -> ()
+                    | Aaddr.At d -> emit_mem d
+                    | Aaddr.All -> emit_mem min_dist)
+                | Some _ -> ())
+              refs)
+      refs;
+    (List.sort_uniq compare_edge !edges, Reachdef.stats rd)
+end
+
+(* The original validator, kept verbatim as the oracle (it reads the
+   analysis edge list instead of a [Depan.t]). *)
+module Validate_ref = struct
+  open Analysis.Validate
+
+  let mismatch_rank = function
+    | Missing_in_ddg -> 0
+    | Distance_exceeds -> 1
+    | Extra_in_ddg -> 2
+    | Distance_below -> 3
+    | Latency_differs -> 4
+
+  module Key = struct
+    type t = int * int * int (* src, dst, kind rank *)
+
+    let compare = compare
+  end
+
+  module KMap = Map.Make (Key)
+
+  let key src dst kind = (src, dst, Analysis.Depan.kind_rank kind)
+
+  let kind_of_rank = function
+    | 0 -> Ddg.Dep.Flow
+    | 1 -> Ddg.Dep.Anti
+    | 2 -> Ddg.Dep.Output
+    | 3 -> Ddg.Dep.Mem Ddg.Dep.Mem_flow
+    | 4 -> Ddg.Dep.Mem Ddg.Dep.Mem_anti
+    | _ -> Ddg.Dep.Mem Ddg.Dep.Mem_output
+
+  let run (edges : Analysis.Depan.edge list) ddg =
+    let tighten m k (dist, lat) =
+      KMap.update k
+        (function
+          | None -> Some (dist, lat)
+          | Some (d0, l0) -> if dist < d0 then Some (dist, lat) else Some (d0, l0))
+        m
+    in
+    let analysis =
+      List.fold_left
+        (fun m (e : Analysis.Depan.edge) ->
+          tighten m (key e.Analysis.Depan.src e.Analysis.Depan.dst e.Analysis.Depan.kind)
+            (e.Analysis.Depan.distance, e.Analysis.Depan.latency))
+        KMap.empty edges
+    in
+    let produced = ref KMap.empty in
+    Graphlib.Digraph.iter_edges
+      (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+        produced :=
+          tighten !produced
+            (key e.src e.dst (Ddg.Dep.kind e.label))
+            (Ddg.Dep.distance e.label, Ddg.Dep.latency e.label))
+      (Ddg.Graph.graph ddg);
+    let produced = !produced in
+    let findings = ref [] in
+    let matched = ref 0 in
+    let add mismatch (src, dst, rank) ?ad ?dd ?al ?dl () =
+      findings :=
+        {
+          mismatch;
+          src;
+          dst;
+          kind = kind_of_rank rank;
+          analysis_distance = ad;
+          ddg_distance = dd;
+          analysis_latency = al;
+          ddg_latency = dl;
+        }
+        :: !findings
+    in
+    KMap.iter
+      (fun k (ad, al) ->
+        match KMap.find_opt k produced with
+        | None -> add Missing_in_ddg k ~ad ~al ()
+        | Some (dd, dl) ->
+            if dd > ad then add Distance_exceeds k ~ad ~dd ~al ~dl ()
+            else if dd < ad then add Distance_below k ~ad ~dd ~al ~dl ()
+            else begin
+              incr matched;
+              if dl <> al then add Latency_differs k ~ad ~dd ~al ~dl ()
+            end)
+      analysis;
+    KMap.iter
+      (fun k (dd, dl) ->
+        if not (KMap.mem k analysis) then add Extra_in_ddg k ~dd ~dl ())
+      produced;
+    let sorted =
+      List.sort
+        (fun a b ->
+          let c =
+            compare
+              (a.src, a.dst, Analysis.Depan.kind_rank a.kind)
+              (b.src, b.dst, Analysis.Depan.kind_rank b.kind)
+          in
+          if c <> 0 then c else compare (mismatch_rank a.mismatch) (mismatch_rank b.mismatch))
+        !findings
+    in
+    {
+      findings = sorted;
+      analysis_edges = KMap.cardinal analysis;
+      ddg_edges = KMap.cardinal produced;
+      matched = !matched;
+    }
+end
+
+let depan_matches_reference ?latency loop =
+  let dep = Analysis.Depan.of_loop ?latency loop in
+  let edges, stats = Depan_ref.of_loop ?latency loop in
+  Analysis.Depan.edges dep = edges && dep.Analysis.Depan.stats = stats
+
+(* Bodies the pipeline actually verifies: the suite loops and their
+   rewritten (copy-inserted) forms on the paper's geometries. *)
+let suite_and_rewritten_bodies () =
+  List.concat_map
+    (fun loop ->
+      loop
+      :: List.filter_map
+           (fun clusters ->
+             let machine =
+               Mach.Machine.paper_clustered ~clusters ~copy_model:Mach.Machine.Embedded
+             in
+             match Partition.Driver.pipeline ~machine loop with
+             | Error _ -> None
+             | Ok r -> Some r.Partition.Driver.rewritten)
+           [ 2; 4; 8 ])
+    (Workload.Suite.loops ())
+
+let depan_ref_tests =
+  [
+    case "suite-and-rewritten-bodies" (fun () ->
+        List.iter
+          (fun loop ->
+            check Alcotest.bool (Ir.Loop.name loop) true (depan_matches_reference loop);
+            check Alcotest.bool (Ir.Loop.name loop ^ " at unit latency") true
+              (depan_matches_reference ~latency:Mach.Latency.unit loop))
+          (suite_and_rewritten_bodies ()));
+    qcheck ~count:100 "random-loops-unrolled" gen_loop_seed (fun seed ->
+        let loop = loop_of_seed seed in
+        List.for_all
+          (fun factor -> depan_matches_reference (fst (Ir.Unroll.loop ~factor loop)))
+          [ 1; 3 ]);
+  ]
+
+(* Validate over every (analysis, DDG) pairing in [pairs]; true when
+   every report equals the reference's. Tallies the mismatch kinds
+   seen into [kinds]. *)
+let validate_matches_reference kinds (loop, ddg) =
+  let dep = Analysis.Depan.of_loop loop in
+  let edges, _ = Depan_ref.of_loop loop in
+  let got = Analysis.Validate.run dep ddg and want = Validate_ref.run edges ddg in
+  List.iter
+    (fun (f : Analysis.Validate.finding) ->
+      Hashtbl.replace kinds f.Analysis.Validate.mismatch ())
+    got.Analysis.Validate.findings;
+  got = want
+
+(* DDGs that disagree with the analysis of [loop]: built from another
+   body (shared op ids, different dependences), at another latency
+   table, and with seeded extra edges (some tighter, some duplicates of
+   real ones at other latencies). *)
+let mismatched_ddgs ~seed loop other =
+  let st = Random.State.make [| seed |] in
+  let ids = List.map Ir.Op.id (Ir.Loop.ops loop) in
+  let pick () = List.nth ids (Random.State.int st (List.length ids)) in
+  let kinds =
+    [| Ddg.Dep.Flow; Ddg.Dep.Anti; Ddg.Dep.Output; Ddg.Dep.Mem Ddg.Dep.Mem_flow;
+       Ddg.Dep.Mem Ddg.Dep.Mem_anti; Ddg.Dep.Mem Ddg.Dep.Mem_output |]
+  in
+  let salted = Ddg.Graph.of_loop loop in
+  for _ = 1 to 1 + Random.State.int st 6 do
+    Graphlib.Digraph.add_edge (Ddg.Graph.graph salted) ~src:(pick ()) ~dst:(pick ())
+      (Ddg.Dep.make
+         ~kind:kinds.(Random.State.int st (Array.length kinds))
+         ~latency:(Random.State.int st 4) ~distance:(Random.State.int st 3))
+  done;
+  (* Every store one element further on: memory distances grow. *)
+  let shifted =
+    Ir.Loop.with_ops loop
+      (List.map
+         (fun op ->
+           match Ir.Op.addr op with
+           | Some a when Ir.Op.opcode op = Mach.Opcode.Store ->
+               Ir.Op.make ?dst:(Ir.Op.dst op) ~srcs:(Ir.Op.srcs op)
+                 ~addr:
+                   (Ir.Addr.make ~offset:(a.Ir.Addr.offset + 1) ~stride:a.Ir.Addr.stride
+                      a.Ir.Addr.base)
+                 ?imm:(Ir.Op.imm op) ~id:(Ir.Op.id op) ~opcode:(Ir.Op.opcode op)
+                 ~cls:(Ir.Op.cls op) ()
+           | _ -> op)
+         (Ir.Loop.ops loop))
+  in
+  [
+    (loop, Ddg.Graph.of_loop other);
+    (loop, Ddg.Graph.of_loop ~latency:Mach.Latency.unit loop);
+    (loop, salted);
+    (other, Ddg.Graph.of_loop loop);
+    (loop, Ddg.Graph.of_loop shifted);
+    (shifted, Ddg.Graph.of_loop loop);
+    (* Reversed: a same-iteration flow becomes a carried one. *)
+    (loop, Ddg.Graph.of_loop (Ir.Loop.with_ops loop (List.rev (Ir.Loop.ops loop))));
+  ]
+
+let validate_ref_tests =
+  [
+    case "suite-bodies-against-their-ddgs" (fun () ->
+        let kinds = Hashtbl.create 5 in
+        List.iter
+          (fun loop ->
+            check Alcotest.bool (Ir.Loop.name loop) true
+              (validate_matches_reference kinds (loop, Ddg.Graph.of_loop loop)))
+          (suite_and_rewritten_bodies ()));
+    case "mismatched-ddgs" (fun () ->
+        let kinds = Hashtbl.create 5 in
+        let loops = Array.of_list (Workload.Suite.loops ()) in
+        Array.iteri
+          (fun k loop ->
+            let other = loops.((k * 7 + 3) mod Array.length loops) in
+            List.iter
+              (fun pair ->
+                check Alcotest.bool (Ir.Loop.name loop) true
+                  (validate_matches_reference kinds pair))
+              (mismatched_ddgs ~seed:k loop other))
+          loops;
+        List.iter
+          (fun (name, kind) ->
+            check Alcotest.bool (name ^ " occurs") true (Hashtbl.mem kinds kind))
+          Analysis.Validate.
+            [
+              ("missing", Missing_in_ddg);
+              ("distance exceeds", Distance_exceeds);
+              ("extra", Extra_in_ddg);
+              ("distance below", Distance_below);
+              ("latency differs", Latency_differs);
+            ]);
+    qcheck ~count:100 "random-mismatched-ddgs" gen_loop_seed (fun seed ->
+        let kinds = Hashtbl.create 5 in
+        let loop = loop_of_seed seed and other = loop_of_seed ((seed * 31) + 7) in
+        List.for_all (validate_matches_reference kinds) (mismatched_ddgs ~seed loop other));
+  ]
+
 let suite =
   [
     ("analysis.solver", solver_tests);
@@ -510,4 +1104,7 @@ let suite =
     ("analysis.wiring", wiring_tests);
     ("analysis.reachdef-ref", reachdef_oracle_tests);
     ("analysis.liveness-ref", liveness_oracle_tests);
+    ("analysis.solver-ref", solver_ref_tests);
+    ("analysis.depan-ref", depan_ref_tests);
+    ("analysis.validate-ref", validate_ref_tests);
   ]

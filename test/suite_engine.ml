@@ -214,6 +214,61 @@ let cache_tests =
         match Engine.Cache.find ~obs:tr c ~key with
         | None -> Obs.Trace.counter_total tr Obs.Counter.Engine_cache_corrupt = 1
         | Some got -> Obs.Json.to_string got = Obs.Json.to_string payload);
+    case "cache-entry-bytes-are-the-envelope" (fun () ->
+        with_cache_dir @@ fun dir ->
+        let c = Engine.Cache.open_ ~dir () in
+        List.iteri
+          (fun k payload ->
+            let key = Engine.Key.make [ ("k", "bytes"); ("n", string_of_int k) ] in
+            Engine.Cache.store c ~key payload;
+            let path =
+              Filename.concat
+                (Filename.concat dir (String.sub key 0 2))
+                (String.sub key 2 (String.length key - 2) ^ ".json")
+            in
+            let ic = open_in_bin path in
+            let got = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            (* The envelope object, serialized, then a newline. *)
+            let body = Obs.Json.to_string payload in
+            let want =
+              Obs.Json.to_string
+                (Obs.Json.Obj
+                   [
+                     ("sum", Obs.Json.Str (Digest.to_hex (Digest.string body)));
+                     ("payload", payload);
+                   ])
+              ^ "\n"
+            in
+            check Alcotest.string "bytes on disk" want got)
+          Obs.Json.
+            [
+              Null;
+              Num 7.0;
+              Str "quote \" backslash \\ newline \n tab \t ctl \001 utf8 \xc3\xa9";
+              Obj [ ("x", Num 1.5); ("l", List [ Bool true; Num (-0.25); Str "" ]) ];
+              List [];
+            ]);
+    case "cache-failed-store-leaves-no-temp-file" (fun () ->
+        with_cache_dir @@ fun dir ->
+        let c = Engine.Cache.open_ ~dir () in
+        let key = Engine.Key.make [ ("k", "blocked") ] in
+        let bucket = Filename.concat dir (String.sub key 0 2) in
+        let path = Filename.concat bucket (String.sub key 2 (String.length key - 2) ^ ".json") in
+        (* The entry's path is a non-empty directory: the rename fails. *)
+        Unix.mkdir bucket 0o755;
+        Unix.mkdir path 0o755;
+        close_out (open_out (Filename.concat path "occupant"));
+        Engine.Cache.store c ~key (Obs.Json.Num 1.0);
+        check
+          Alcotest.(list string)
+          "only the blocking directory in the bucket"
+          [ Filename.basename path ]
+          (Array.to_list (Sys.readdir bucket));
+        check Alcotest.bool "still a miss" true (Engine.Cache.find c ~key = None);
+        rm_rf path;
+        check Alcotest.int "nothing to clear" 0 (Engine.Cache.clear ~dir ());
+        check Alcotest.bool "bucket removed" false (Sys.file_exists bucket));
     case "cache-absent-dir-is-empty" (fun () ->
         let dir = Filename.concat (Filename.get_temp_dir_name ()) "rbp-no-such-cache" in
         check Alcotest.int "entries" 0 (Engine.Cache.stat ~dir ()).Engine.Cache.entries;

@@ -632,6 +632,50 @@ let expect_result what = function
   | Proto.Result r -> r
   | reply -> Alcotest.failf "%s: unexpected %s reply" what (Proto.status_of_reply reply)
 
+(* The request keys as the server computed them before it shared one
+   fingerprint pair between them. *)
+let old_job_key ~machine loop =
+  Engine.Key.make
+    [
+      ("loop", Core.Batch.fingerprint_loop loop);
+      ("machine", Core.Batch.fingerprint_machine machine);
+      ("options", "serve/ladder-default");
+    ]
+
+let old_quarantine_key ~machine ~fault loop =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00"
+          [
+            Core.Batch.fingerprint_loop loop;
+            Core.Batch.fingerprint_machine machine;
+            Option.value ~default:"" fault;
+          ]))
+
+let key_tests =
+  [
+    case "keys-from-one-fingerprint-pair-are-unchanged" (fun () ->
+        List.iter
+          (fun loop ->
+            List.iter
+              (fun (cfg : Core.Experiment.config) ->
+                let machine = cfg.Core.Experiment.machine in
+                let p = Server.prints ~machine loop in
+                let what = Ir.Loop.name loop ^ " on " ^ cfg.Core.Experiment.label in
+                check Alcotest.string (what ^ " job key") (old_job_key ~machine loop)
+                  (Server.job_key_of_prints p);
+                check Alcotest.string (what ^ " public job key") (old_job_key ~machine loop)
+                  (Server.job_key ~machine loop);
+                List.iter
+                  (fun fault ->
+                    check Alcotest.string (what ^ " quarantine key")
+                      (old_quarantine_key ~machine ~fault loop)
+                      (Server.quarantine_key p ~fault))
+                  [ None; Some "crash_worker"; Some "" ])
+              Core.Experiment.paper_configs)
+          (Workload.Suite.loops ()));
+  ]
+
 let daemon_tests =
   [
     slow_case "daemon-answers-the-basics" (fun () ->
@@ -700,6 +744,42 @@ let daemon_tests =
           | reply -> Alcotest.failf "stats got %s" (Proto.status_of_reply reply)
         in
         check Alcotest.int "clean shutdown" 0 code);
+    slow_case "served-counters-equal-a-full-trace" (fun () ->
+        (* The request trace keeps no event list, but its counters must
+           be those of a full trace of the same ladder run. *)
+        let loop = Workload.Kernels.daxpy ~unroll:2 in
+        let machine = Mach.Machine.paper_clustered ~clusters:4 ~copy_model:Mach.Machine.Embedded in
+        let ladder events =
+          let tr = Obs.Trace.make ~events ~clock:(Obs.Clock.fake ()) () in
+          (match Robust.Driver.run ~obs:tr ~machine loop with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "ladder failed: %s" (Verify.Stage_error.to_string e));
+          tr
+        in
+        let full = ladder true and lean = ladder false in
+        check Alcotest.bool "the full trace keeps events" true (Obs.Trace.event_count full > 0);
+        check Alcotest.int "the lean trace keeps none" 0 (List.length (Obs.Trace.events lean));
+        check
+          Alcotest.(list (triple string (option string) int))
+          "counters" (Obs.Trace.counters full) (Obs.Trace.counters lean);
+        check Alcotest.bool "gauges" true (Obs.Trace.gauges full = Obs.Trace.gauges lean);
+        let want = Stats.make () in
+        Stats.absorb want full;
+        let served, code =
+          with_daemon @@ fun addr ->
+          let c = connect_ok addr in
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          ignore (expect_result "compile" (request_ok c (compile_req ~no_cache:true loop)));
+          match request_ok c Proto.Stats with
+          | Proto.Stats_reply counters -> counters
+          | reply -> Alcotest.failf "stats got %s" (Proto.status_of_reply reply)
+        in
+        check Alcotest.int "clean shutdown" 0 code;
+        check Alcotest.bool "the ladder counted something" true (Stats.snapshot want <> []);
+        List.iter
+          (fun (name, v) ->
+            check Alcotest.(option int) name (Some v) (List.assoc_opt name served))
+          (Stats.snapshot want));
     slow_case "daemon-times-out-and-quarantines" (fun () ->
         let (), code =
           with_daemon ~max_retries:0 @@ fun addr ->
@@ -1029,6 +1109,7 @@ let suite =
     ("serve.admission", admission_tests);
     ("serve.wire", wire_tests);
     ("serve.stats", stats_tests);
+    ("serve.keys", key_tests);
     ("serve.flight", flight_tests);
     ("serve.metrics", metrics_tests);
     ("serve.daemon", daemon_tests);
