@@ -4,7 +4,7 @@
         clean quickstart experiment lint analyze stress trace serve-smoke bombard \
         metrics-check logs-check exact exact-baseline exact-perfdiff perfbench \
         trace-digest trace-digest-check analyze-digest-check exact-digest-check \
-        alloc-digest-check lint-digest-check
+        alloc-digest-check lint-digest-check ddg-digest-check
 
 all: build
 
@@ -71,6 +71,15 @@ alloc-digest-check: build
 # (sh tools/lint_digest.sh > tools/lint_digest.expected) and says why.
 lint-digest-check: build
 	sh tools/lint_digest.sh | diff -u tools/lint_digest.expected -
+
+# The dependence gate: the MD5s of `rbp ddg` (text and DOT) over the
+# suite, of `rbp compare` (every partitioner) on a fixed set of suite
+# loops on 2x8/4x4/8x2 and of `rbp pipeline -s swing` on the same set
+# must equal tools/ddg_digest.expected. A change that moves a dependence
+# edge, its order or a scheduling decision on purpose regenerates that
+# file (sh tools/ddg_digest.sh > tools/ddg_digest.expected) and says why.
+ddg-digest-check: build
+	sh tools/ddg_digest.sh | diff -u tools/ddg_digest.expected -
 
 # Deterministic fault-injection sweep through the resilient driver:
 # 200 seeded trials, Verify as the oracle. Exit 0 = every trial either

@@ -6,21 +6,8 @@ type edge = {
   distance : int;
 }
 
-let kind_rank : Ddg.Dep.kind -> int = function
-  | Ddg.Dep.Flow -> 0
-  | Ddg.Dep.Anti -> 1
-  | Ddg.Dep.Output -> 2
-  | Ddg.Dep.Mem Ddg.Dep.Mem_flow -> 3
-  | Ddg.Dep.Mem Ddg.Dep.Mem_anti -> 4
-  | Ddg.Dep.Mem Ddg.Dep.Mem_output -> 5
-
-let kind_of_rank = function
-  | 0 -> Ddg.Dep.Flow
-  | 1 -> Ddg.Dep.Anti
-  | 2 -> Ddg.Dep.Output
-  | 3 -> Ddg.Dep.Mem Ddg.Dep.Mem_flow
-  | 4 -> Ddg.Dep.Mem Ddg.Dep.Mem_anti
-  | _ -> Ddg.Dep.Mem Ddg.Dep.Mem_output
+let kind_rank = Ddg.Dep.kind_rank
+let kind_of_rank = Ddg.Dep.kind_of_rank
 
 type t = {
   count : int;

@@ -50,9 +50,10 @@ val edges : t -> edge list
 (** The edges as records, in order. *)
 
 val kind_rank : Ddg.Dep.kind -> int
-(** Total order on kinds used for the deterministic edge sort. *)
+(** {!Ddg.Dep.kind_rank}: the total order on kinds used for the
+    deterministic edge sort. *)
 
 val kind_of_rank : int -> Ddg.Dep.kind
-(** The inverse of {!kind_rank}. *)
+(** {!Ddg.Dep.kind_of_rank}. *)
 
 val edge_to_string : edge -> string

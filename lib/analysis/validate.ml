@@ -25,25 +25,25 @@ type report = {
 
 (* The DDG's edges as int keys, five ints apiece (src, dst, kind rank,
    distance, latency), and their order by (src, dst, kind rank,
-   distance), ties kept in iteration order: the first edge of each
-   key's run is the one with the smallest distance that the DDG yields
-   first. The sort is by insertion, which is stable and, as the graph
-   yields its edges grouped by source, moves each edge only within its
-   source's group. *)
-let ddg_keys ddg =
-  let g = Ddg.Graph.graph ddg in
-  let d = Array.make (5 * Graphlib.Digraph.edge_count g) 0 in
+   distance), ties kept in row order: the first edge of each key's run
+   is the one with the smallest distance that comes first in its
+   source's row. The sort is by insertion, which is stable and, as the
+   rows are read source by source in ascending id order, moves each
+   edge only within its source's group. *)
+let ddg_keys (ddg : Ddg.Graph.t) =
+  let d = Array.make (5 * Ddg.Graph.edge_count ddg) 0 in
   let m = ref 0 in
-  Graphlib.Digraph.iter_edges
-    (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+  for v = 0 to Ddg.Graph.size ddg - 1 do
+    for k = ddg.succ_off.(v) to ddg.succ_off.(v + 1) - 1 do
       let o = 5 * !m in
-      d.(o) <- e.src;
-      d.(o + 1) <- e.dst;
-      d.(o + 2) <- Depan.kind_rank (Ddg.Dep.kind e.label);
-      d.(o + 3) <- Ddg.Dep.distance e.label;
-      d.(o + 4) <- Ddg.Dep.latency e.label;
-      incr m)
-    g;
+      d.(o) <- ddg.ids.(v);
+      d.(o + 1) <- ddg.ids.(ddg.succ_node.(k));
+      d.(o + 2) <- ddg.succ_kind.(k);
+      d.(o + 3) <- ddg.succ_dist.(k);
+      d.(o + 4) <- ddg.succ_lat.(k);
+      incr m
+    done
+  done;
   let below x y =
     let x = 5 * x and y = 5 * y in
     d.(x) < d.(y)

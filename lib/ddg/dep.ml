@@ -13,6 +13,22 @@ let latency t = t.latency
 let distance t = t.distance
 let is_loop_carried t = t.distance > 0
 
+let kind_rank = function
+  | Flow -> 0
+  | Anti -> 1
+  | Output -> 2
+  | Mem Mem_flow -> 3
+  | Mem Mem_anti -> 4
+  | Mem Mem_output -> 5
+
+let kind_of_rank = function
+  | 0 -> Flow
+  | 1 -> Anti
+  | 2 -> Output
+  | 3 -> Mem Mem_flow
+  | 4 -> Mem Mem_anti
+  | _ -> Mem Mem_output
+
 let kind_to_string = function
   | Flow -> "flow"
   | Anti -> "anti"

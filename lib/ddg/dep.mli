@@ -24,6 +24,13 @@ val latency : t -> int
 val distance : t -> int
 
 val is_loop_carried : t -> bool
+val kind_rank : kind -> int
+(** Flow 0, Anti 1, Output 2, Mem_flow 3, Mem_anti 4, Mem_output 5: the
+    kind as an int, as {!Graph}'s rows store it. *)
+
+val kind_of_rank : int -> kind
+(** The inverse of {!kind_rank}. *)
+
 val kind_to_string : kind -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -37,41 +37,46 @@ let res_mii_clustered ~machine ~ops_per_cluster ~copies_per_cluster =
       in
       Int.max !bound bus_bound
 
-let upper_bound ddg =
-  1 + List.fold_left (fun acc op -> acc + Graph.latency_of ddg op) 0 (Graph.ops_in_order ddg)
+let upper_bound (ddg : Graph.t) = ddg.upper_bound
 
-(* One SCC's internal edges as int arrays over dense local indices.
-   [hi] is 1 + the sum over its nodes of their largest intra-SCC
-   out-edge latency: every simple circuit stays below it. *)
+(* One SCC's internal edges as int arrays over dense local indices, in
+   the reverse of their row order. [local] maps the SCC's nodes to
+   those indices and every other node to -1. [hi] is 1 + the sum over
+   its nodes of their largest intra-SCC out-edge latency: every simple
+   circuit stays below it. *)
 type scc = { n : int; src : int array; dst : int array; lat : int array; dist : int array; hi : int }
 
-let scc_of g comp =
-  let index = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.replace index v i) comp;
-  let edges = ref [] and hi = ref 1 in
+let scc_of (g : Graph.t) ~local comp =
+  let m = ref 0 and hi = ref 1 in
   List.iter
     (fun v ->
       let max_lat = ref 0 in
-      List.iter
-        (fun (e : Dep.t Graphlib.Digraph.edge) ->
-          match Hashtbl.find_opt index e.dst with
-          | None -> ()
-          | Some j ->
-              max_lat := max !max_lat (Dep.latency e.label);
-              edges := (Hashtbl.find index v, j, e.label) :: !edges)
-        (Graphlib.Digraph.succs g v);
+      for k = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+        if local.(g.succ_node.(k)) >= 0 then begin
+          max_lat := max !max_lat g.succ_lat.(k);
+          incr m
+        end
+      done;
       hi := !hi + !max_lat)
     comp;
-  let edges = Array.of_list !edges in
-  let field f = Array.map f edges in
-  {
-    n = List.length comp;
-    src = field (fun (s, _, _) -> s);
-    dst = field (fun (_, d, _) -> d);
-    lat = field (fun (_, _, l) -> Dep.latency l);
-    dist = field (fun (_, _, l) -> Dep.distance l);
-    hi = !hi;
-  }
+  let m = !m in
+  let src = Array.make m 0 and dst = Array.make m 0 in
+  let lat = Array.make m 0 and dist = Array.make m 0 in
+  let j = ref m in
+  List.iter
+    (fun v ->
+      for k = g.succ_off.(v) to g.succ_off.(v + 1) - 1 do
+        let w = local.(g.succ_node.(k)) in
+        if w >= 0 then begin
+          decr j;
+          src.(!j) <- local.(v);
+          dst.(!j) <- w;
+          lat.(!j) <- g.succ_lat.(k);
+          dist.(!j) <- g.succ_dist.(k)
+        end
+      done)
+    comp;
+  { n = List.length comp; src; dst; lat; dist; hi = !hi }
 
 (* Longest-path Bellman-Ford under weight [lat - ii*dist], every node
    starting at 0: a positive cycle exists iff each of the first [n]
@@ -102,7 +107,8 @@ let rec_mii ddg =
      [hi] has a zero-distance circuit and no feasible II at all: the
      answer is then [upper_bound], as for a search over the whole graph. *)
   let top = upper_bound ddg in
-  let g = Graph.graph ddg in
+  let g : Graph.t = ddg in
+  let local = Array.make (Graph.size g) (-1) in
   let rec search s lo hi =
     if lo >= hi then lo
     else
@@ -110,11 +116,15 @@ let rec_mii ddg =
       if feasible s mid then search s lo mid else search s (mid + 1) hi
   in
   let per_scc lo comp =
-    let s = scc_of g comp in
+    List.iteri (fun i v -> local.(v) <- i) comp;
+    let s = scc_of g ~local comp in
+    List.iter (fun v -> local.(v) <- -1) comp;
     let hi = max lo s.hi in
     let r = search s lo (hi + 1) in
     if r > hi then top else r
   in
-  min top (List.fold_left per_scc 1 (Graphlib.Scc.nontrivial g))
+  min top
+    (List.fold_left per_scc 1
+       (Graphlib.Scc.nontrivial_components ~off:g.succ_off ~succ:g.succ_node))
 
 let min_ii ~width ddg = max (res_mii ~width (Graph.size ddg)) (rec_mii ddg)

@@ -21,7 +21,8 @@ val rec_mii : Graph.t -> int
 (** Smallest II such that no recurrence circuit C has
     Σ latency(C) > II · Σ distance(C); 1 when the DDG is acyclic.
     Every circuit lives inside one strongly connected component, so each
-    non-trivial SCC is searched on its own: its internal edges are
+    non-trivial SCC (found by {!Graphlib.Scc.nontrivial_components} over
+    the successor rows) is searched on its own: its internal edges are
     copied once into int arrays, and II is binary-searched with
     Bellman-Ford positive-cycle detection under edge weight
     [latency − II·distance]. Each search runs from the largest II found
@@ -35,4 +36,5 @@ val min_ii : width:int -> Graph.t -> int
 
 val upper_bound : Graph.t -> int
 (** A trivially schedulable II: total latency of all operations, plus 1.
-    Any II at or above this admits a sequential schedule. *)
+    Any II at or above this admits a sequential schedule. Computed once,
+    when the graph is built. *)

@@ -1,15 +1,27 @@
 type 'e edge = { src : int; dst : int; label : 'e }
 
-type 'e t = {
+type 'e tables = {
   out_edges : (int, 'e edge list) Hashtbl.t; (* reversed insertion order *)
   in_edges : (int, 'e edge list) Hashtbl.t;
   mutable n_edges : int;
 }
 
-let create ?(size_hint = 64) () =
+(* Forced by every operation: a [deferred] graph is filled on first use. *)
+type 'e t = 'e tables Lazy.t
+
+let tables size_hint =
   { out_edges = Hashtbl.create size_hint; in_edges = Hashtbl.create size_hint; n_edges = 0 }
 
+let create ?(size_hint = 64) () = Lazy.from_val (tables size_hint)
+
+let deferred ?(size_hint = 64) fill =
+  lazy
+    (let t = tables size_hint in
+     fill (Lazy.from_val t);
+     t)
+
 let add_node t n =
+  let t = Lazy.force t in
   if not (Hashtbl.mem t.out_edges n) then begin
     Hashtbl.replace t.out_edges n [];
     Hashtbl.replace t.in_edges n []
@@ -18,22 +30,27 @@ let add_node t n =
 let add_edge t ~src ~dst label =
   add_node t src;
   add_node t dst;
+  let t = Lazy.force t in
   let e = { src; dst; label } in
   Hashtbl.replace t.out_edges src (e :: Hashtbl.find t.out_edges src);
   Hashtbl.replace t.in_edges dst (e :: Hashtbl.find t.in_edges dst);
   t.n_edges <- t.n_edges + 1
 
-let mem_node t n = Hashtbl.mem t.out_edges n
+let mem_node t n = Hashtbl.mem (Lazy.force t).out_edges n
 
 let nodes t =
-  let l = Hashtbl.fold (fun n _ acc -> n :: acc) t.out_edges [] in
+  let l = Hashtbl.fold (fun n _ acc -> n :: acc) (Lazy.force t).out_edges [] in
   List.sort Int.compare l
 
-let node_count t = Hashtbl.length t.out_edges
-let edge_count t = t.n_edges
+let node_count t = Hashtbl.length (Lazy.force t).out_edges
+let edge_count t = (Lazy.force t).n_edges
 
-let succs t n = match Hashtbl.find_opt t.out_edges n with Some l -> List.rev l | None -> []
-let preds t n = match Hashtbl.find_opt t.in_edges n with Some l -> List.rev l | None -> []
+let succs t n =
+  match Hashtbl.find_opt (Lazy.force t).out_edges n with Some l -> List.rev l | None -> []
+
+let preds t n =
+  match Hashtbl.find_opt (Lazy.force t).in_edges n with Some l -> List.rev l | None -> []
+
 let out_degree t n = List.length (succs t n)
 let in_degree t n = List.length (preds t n)
 

@@ -10,6 +10,12 @@ type 'e edge = { src : int; dst : int; label : 'e }
 
 val create : ?size_hint:int -> unit -> 'e t
 
+val deferred : ?size_hint:int -> ('e t -> unit) -> 'e t
+(** [deferred fill]: a graph built on first use. The first operation
+    that reads or changes it creates an empty graph and runs [fill] on
+    it; until then it costs one closure. As with [Lazy.t], two domains
+    must not make that first use at once. *)
+
 val add_node : 'e t -> int -> unit
 (** Idempotent. *)
 

@@ -14,20 +14,20 @@ type effort = {
   exhausted : int ref; (* IIs abandoned because the budget ran out *)
 }
 
-(* One attempt at the given II over the dense view [v]: nodes, not op
+(* One attempt at the given II over the DDG's rows [v]: nodes, not op
    ids, everywhere, including the MRT's holders (ascending node is
    ascending id, so victim order is unchanged). [request i] is node
    [i]'s resource request. Returns the node->cycle array on success, or
    the cause the II was abandoned — the vocabulary of
    [Obs.Events.Ii_escalate]: "rec_mii" (heights diverge), "self_edge",
    "resource" (a request no cycle of the MRT can hold), "budget". *)
-let try_ii ~obs ~request ~budget ~machine ~ii (v : Ddg_view.t) effort =
-  match Ddg_view.heights v ~ii with
+let try_ii ~obs ~request ~budget ~machine ~ii (v : Ddg.Graph.t) effort =
+  match Ddg.Graph.heights v ~ii with
   | None -> Error "rec_mii"
   | Some h ->
-      if not (Ddg_view.self_edges_feasible v ~ii) then Error "self_edge"
+      if not (Ddg.Graph.self_edges_feasible v ~ii) then Error "self_edge"
       else begin
-        let n = Ddg_view.size v in
+        let n = Ddg.Graph.size v in
         (* [min_int]: unscheduled (time) / never placed at this II (last_time) *)
         let time = Array.make n min_int in
         let last_time = Array.make n min_int in
@@ -133,17 +133,17 @@ let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
      >= 1 by construction; a smaller value can only be a caller bug. *)
   if mii < 1 then invalid_arg "Modulo.schedule: mii must be >= 1";
   let max_ii = match max_ii with Some x -> x | None -> max mii (Ddg.Minii.upper_bound ddg) in
-  let n = Ddg.Graph.size ddg in
-  let v = Ddg_view.of_ddg ddg in
+  let v : Ddg.Graph.t = ddg in
+  let n = Ddg.Graph.size v in
   (* [cluster_of] is fixed for the call, so each node's request is too;
      computed at the node's first placement. *)
-  let requests = Array.make (Ddg_view.size v) None in
+  let requests = Array.make n None in
   let request x =
     match requests.(x) with
     | Some r -> r
     | None ->
         let id = v.ids.(x) in
-        let r = Restab.request_for m ~cluster:(cluster_of id) (Ddg.Graph.op ddg id) in
+        let r = Restab.request_for m ~cluster:(cluster_of id) v.ops.(x) in
         requests.(x) <- Some r;
         r
   in
@@ -164,9 +164,8 @@ let schedule ?obs ?cluster_of ?(budget_ratio = 10) ?max_ii ~machine ~mii ddg =
       | Ok time ->
           Obs.Trace.add_attr obs "ii" (string_of_int ii);
           let placements =
-            List.init (Ddg_view.size v) (fun x ->
-                let id = v.ids.(x) in
-                { Schedule.op = Ddg.Graph.op ddg id; cycle = time.(x); cluster = cluster_of id })
+            List.init n (fun x ->
+                { Schedule.op = v.ops.(x); cycle = time.(x); cluster = cluster_of v.ids.(x) })
           in
           Some
             {

@@ -17,11 +17,12 @@
     exhaustion II is bumped and everything restarts, exactly as Rau
     specifies.
 
-    The scheduler works over a {!Ddg_view} built once per call (heights,
-    predecessor and successor rows as int arrays) and keeps its
-    per-II state — cycle (unset while unscheduled), last cycle,
-    priority order and position — in arrays indexed by the view's
-    nodes; {!Restab} is its only reservation table. *)
+    The scheduler reads the DDG's rows directly ({!Ddg.Graph}: heights,
+    predecessor and successor rows as int arrays, in the documented row
+    order) and keeps its per-II state — cycle (unset while
+    unscheduled), last cycle, priority order and position — in arrays
+    indexed by the DDG's nodes; {!Restab} is its only reservation
+    table. *)
 
 type outcome = {
   kernel : Kernel.t;

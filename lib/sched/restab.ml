@@ -15,7 +15,7 @@ type t = {
   mutable rows : int; (* rows allocated; unallocated rows are empty *)
   mutable count : int array; (* slot -> number of holders *)
   mutable held : int list array; (* slot -> holding ops, most recent first *)
-  mutable by_op : int list array; (* op -> slots it holds *)
+  mutable by_op : int list array; (* holder (a DDG node) -> slots it holds *)
 }
 
 let fu_index : Mach.Machine.fu_class -> int = function

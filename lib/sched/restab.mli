@@ -25,9 +25,11 @@
     huge II grows only as far as the highest row reserved. A query on a row
     never reserved answers as for an empty row.
 
-    Op ids must be non-negative, and requests must name a cluster of
-    the machine: [reserve] of a negative op and any query naming an
-    out-of-range cluster raise [Invalid_argument]. *)
+    Holders ([~op]) are small non-negative ints: the schedulers pass
+    DDG nodes (op id ranks, {!Ddg.Graph}), never op ids, since the
+    per-holder table grows to the largest holder + 1. Requests must name
+    a cluster of the machine: [reserve] of a negative holder and any
+    query naming an out-of-range cluster raise [Invalid_argument]. *)
 
 type t
 

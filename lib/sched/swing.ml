@@ -2,7 +2,7 @@
    most critical recurrence, then repeatedly append the unordered
    neighbour (either direction) of the ordered set with the greatest
    height. Nodes on recurrences outrank straight-line nodes as seeds. *)
-let ordering ddg view h =
+let ordering ddg h =
   let g = Ddg.Graph.graph ddg in
   let cyclic = Hashtbl.create 16 in
   List.iter
@@ -12,7 +12,7 @@ let ordering ddg view h =
   let unordered = Hashtbl.create 64 in
   List.iter (fun v -> Hashtbl.replace unordered v ()) nodes;
   let priority v =
-    ((if Hashtbl.mem cyclic v then 1 else 0), h.(Ddg_view.index view v), -v)
+    ((if Hashtbl.mem cyclic v then 1 else 0), h.(Ddg.Graph.index ddg v), -v)
   in
   let best l = List.fold_left
       (fun acc v -> match acc with
@@ -48,14 +48,14 @@ let ordering ddg view h =
    was abandoned in Modulo's vocabulary — "rec_mii" (heights diverge),
    "self_edge", or "resource" (a request no MRT row holds, or no free
    slot in a node's window; Swing never evicts). *)
-let try_ii ~cluster_of ~machine ~ii ddg view tried =
-  match Ddg_view.heights view ~ii with
+let try_ii ~cluster_of ~machine ~ii ddg tried =
+  match Ddg.Graph.heights ddg ~ii with
   | None -> Error "rec_mii"
   | Some h ->
-      if not (Ddg_view.self_edges_feasible view ~ii) then Error "self_edge"
+      if not (Ddg.Graph.self_edges_feasible ddg ~ii) then Error "self_edge"
       else begin
         let g = Ddg.Graph.graph ddg in
-        let order = ordering ddg view h in
+        let order = ordering ddg h in
         (* Seeds are placed high enough that backward placement of their
            predecessors never needs a negative cycle: any latency chain is
            shorter than the sum of all latencies. *)
@@ -105,7 +105,7 @@ let try_ii ~cluster_of ~machine ~ii ddg view tried =
                 in
                 match List.find_opt (fun t -> Restab.fits mrt ~cycle:t req) candidates with
                 | Some t ->
-                    Restab.reserve mrt ~cycle:t ~op:v req;
+                    Restab.reserve mrt ~cycle:t ~op:(Ddg.Graph.index ddg v) req;
                     Hashtbl.replace time v t
                 | None -> ok := false
               end
@@ -126,7 +126,6 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
   if mii < 1 then invalid_arg "Swing.schedule: mii must be >= 1";
   let max_ii = match max_ii with Some x -> x | None -> max mii (Ddg.Minii.upper_bound ddg) in
   let tried = ref 0 in
-  let view = Ddg_view.of_ddg ddg in
   Obs.Trace.span obs "swing.schedule" ~attrs:[ ("mii", string_of_int mii) ] @@ fun () ->
   let iis_tried = ref 0 in
   let rec attempt ii =
@@ -136,7 +135,7 @@ let schedule ?obs ?cluster_of ?max_ii ~machine ~mii ddg =
       let before = !tried in
       let result =
         Obs.Trace.span obs "swing.try_ii" ~attrs:[ ("ii", string_of_int ii) ] (fun () ->
-            try_ii ~cluster_of ~machine:m ~ii ddg view tried)
+            try_ii ~cluster_of ~machine:m ~ii ddg tried)
       in
       Obs.Trace.incr obs Obs.Counter.Sched_placements (!tried - before);
       match result with

@@ -1,47 +1,18 @@
 let op_loc op = Printf.sprintf "op %d (%s)" (Ir.Op.id op) (Ir.Op.to_string op)
 
-(* Op ids mapped to the index each came from (the first, for a repeated
-   id): an array indexed by id when the ids are small, else the ids
-   sorted, searched by bisection. *)
-type ids = Table of int array | Sorted of { sorted : int array; at : int array }
-
-let index_ids ids =
-  let n = Array.length ids in
-  let lo = Array.fold_left min 0 ids and hi = Array.fold_left max (-1) ids in
-  if lo >= 0 && hi < (4 * n) + 64 then begin
-    let t = Array.make (hi + 1) (-1) in
-    for k = n - 1 downto 0 do
-      t.(ids.(k)) <- k
-    done;
-    Table t
-  end
-  else begin
-    let at = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> Int.compare ids.(a) ids.(b)) at;
-    Sorted { sorted = Array.map (fun k -> ids.(k)) at; at }
-  end
-
-let find t id =
-  match t with
-  | Table t -> if id >= 0 && id < Array.length t then t.(id) else -1
-  | Sorted { sorted; at } ->
-      let rec go lo hi =
-        if lo >= hi then if lo < Array.length sorted && sorted.(lo) = id then at.(lo) else -1
-        else
-          let mid = (lo + hi) / 2 in
-          if sorted.(mid) < id then go (mid + 1) hi else go lo mid
-      in
-      go 0 (Array.length sorted)
-
-(* A schedule's placements as per-op arrays, in placement order. *)
+(* A schedule's placements as per-op arrays, in placement order, tied
+   to the DDG's nodes: [node.(k)] is placement [k]'s node, or -1 for an
+   op the DDG does not hold, and [at.(v)] is node [v]'s placement (the
+   first, for a repeated op), or -1. *)
 type placed = {
   ops : Ir.Op.t array;
   cycles : int array;
   clusters : int array;
-  by_id : ids;
+  node : int array;
+  at : int array;
 }
 
-let placed_of (ps : Sched.Schedule.placement list) =
+let placed_of ~ddg (ps : Sched.Schedule.placement list) =
   let n = List.length ps in
   let ops = match ps with [] -> [||] | p :: _ -> Array.make n p.op in
   let cycles = Array.make n 0 and clusters = Array.make n 0 in
@@ -51,51 +22,60 @@ let placed_of (ps : Sched.Schedule.placement list) =
       cycles.(k) <- p.cycle;
       clusters.(k) <- p.cluster)
     ps;
-  { ops; cycles; clusters; by_id = index_ids (Array.map Ir.Op.id ops) }
-
-let coverage ~ddg pl =
-  let order = Array.of_list ddg.Ddg.Graph.order in
-  let ddg_ids = index_ids order in
-  let missing =
-    List.filter_map
-      (fun id ->
-        if find pl.by_id id >= 0 then None
-        else
-          Some
-            (Diag.error Diag.Sched ~code:"SCH001" ~loc:(op_loc (Ddg.Graph.op ddg id))
-               "operation is not scheduled"))
-      ddg.Ddg.Graph.order
+  let node =
+    Array.map (fun op -> try Ddg.Graph.index ddg (Ir.Op.id op) with Not_found -> -1) ops
   in
-  let foreign = ref [] in
+  let at = Array.make (Ddg.Graph.size ddg) (-1) in
+  for k = n - 1 downto 0 do
+    if node.(k) >= 0 then at.(node.(k)) <- k
+  done;
+  { ops; cycles; clusters; node; at }
+
+let coverage ~(ddg : Ddg.Graph.t) pl =
+  let missing = ref [] and foreign = ref [] in
+  for i = Array.length ddg.order - 1 downto 0 do
+    let v = ddg.order.(i) in
+    if pl.at.(v) < 0 then
+      missing :=
+        Diag.error Diag.Sched ~code:"SCH001" ~loc:(op_loc ddg.ops.(v))
+          "operation is not scheduled"
+        :: !missing
+  done;
   for k = Array.length pl.ops - 1 downto 0 do
-    if find ddg_ids (Ir.Op.id pl.ops.(k)) < 0 then
+    if pl.node.(k) < 0 then
       foreign :=
         Diag.error Diag.Sched ~code:"SCH005" ~loc:(op_loc pl.ops.(k))
           "scheduled operation does not belong to the dependence graph"
         :: !foreign
   done;
-  missing @ !foreign
+  !missing @ !foreign
 
-(* Every edge: t(dst) - t(src) >= latency - ii * distance. A flat
-   schedule is the ii = infinity case restricted to distance-0 edges.
-   Cycles come from the placement arrays, found by op id. *)
-let edges ~graph ~ii pl =
-  List.rev
-    (Graphlib.Digraph.fold_edges
-       (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) acc ->
-         let s = find pl.by_id e.src and d = find pl.by_id e.dst in
-         if s < 0 || d < 0 then acc (* reported by coverage *)
-         else
-           let ts = pl.cycles.(s) and td = pl.cycles.(d) in
-           let need = Ddg.Dep.latency e.label - (ii * Ddg.Dep.distance e.label) in
-           if td - ts >= need then acc
-           else
-             Diag.error Diag.Sched ~code:"SCH002"
-               ~loc:(Printf.sprintf "edge %d->%d" e.src e.dst)
-               (Printf.sprintf "%s dependence violated: cycle %d - %d < %d"
-                  (Ddg.Dep.to_string e.label) td ts need)
-             :: acc)
-       graph [])
+(* Every edge, source by source in ascending id order and each source's
+   row in order: t(dst) - t(src) >= latency - ii * distance. A flat
+   schedule is the ii = infinity case restricted to distance-0 edges
+   ([carried = false]). *)
+let edges ~(ddg : Ddg.Graph.t) ~ii ~carried pl =
+  let found = ref [] in
+  for v = Ddg.Graph.size ddg - 1 downto 0 do
+    for k = ddg.succ_off.(v + 1) - 1 downto ddg.succ_off.(v) do
+      let w = ddg.succ_node.(k) in
+      let s = pl.at.(v) and d = pl.at.(w) in
+      (* an unscheduled endpoint is reported by coverage *)
+      if s >= 0 && d >= 0 && (carried || ddg.succ_dist.(k) = 0) then begin
+        let ts = pl.cycles.(s) and td = pl.cycles.(d) in
+        let need = ddg.succ_lat.(k) - (ii * ddg.succ_dist.(k)) in
+        if td - ts < need then
+          found :=
+            Diag.error Diag.Sched ~code:"SCH002"
+              ~loc:(Printf.sprintf "edge %d->%d" ddg.ids.(v) ddg.ids.(w))
+              (Printf.sprintf "%s dependence violated: cycle %d - %d < %d"
+                 (Ddg.Dep.to_string (Ddg.Graph.succ_label ddg k))
+                 td ts need)
+            :: !found
+      end
+    done
+  done;
+  !found
 
 (* SCH003 findings are reported in the order that folding a [Hashtbl]
    of the counted keys lists them, consing each finding: the order
@@ -283,14 +263,14 @@ let resources ~machine ~normalize pl =
   !bad_cluster @ fu_over @ port_over @ bus_over @ hall
 
 let kernel ~machine ~ddg k =
-  let pl = placed_of (Sched.Kernel.placements k) in
+  let pl = placed_of ~ddg (Sched.Kernel.placements k) in
   let ii = Sched.Kernel.ii k in
   coverage ~ddg pl
-  @ edges ~graph:(Ddg.Graph.graph ddg) ~ii pl
+  @ edges ~ddg ~ii ~carried:true pl
   @ resources ~machine ~normalize:(fun c -> c mod ii) pl
 
 let flat ~machine ~ddg sched =
-  let pl = placed_of (Sched.Schedule.placements sched) in
+  let pl = placed_of ~ddg (Sched.Schedule.placements sched) in
   coverage ~ddg pl
-  @ edges ~graph:(Ddg.Graph.loop_independent ddg) ~ii:0 pl
+  @ edges ~ddg ~ii:0 ~carried:false pl
   @ resources ~machine ~normalize:(fun c -> c) pl

@@ -399,18 +399,12 @@ let reachdef_oracle_tests =
         List.iter (fun loop -> check_reachdef (Ir.Loop.name loop) loop) (Workload.Suite.loops ()));
     slow_case "rewritten-bodies" (fun () ->
         List.iter
-          (fun loop ->
+          (fun (loop, bodies) ->
             List.iter
-              (fun (cfg : Core.Experiment.config) ->
-                match Partition.Driver.pipeline ~machine:cfg.machine loop with
-                | Error e ->
-                    Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
-                | Ok r ->
-                    check_reachdef
-                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
-                      r.Partition.Driver.rewritten)
-              Core.Experiment.paper_configs)
-          (Workload.Suite.loops ()));
+              (fun ((cfg : Core.Experiment.config), body) ->
+                check_reachdef (Ir.Loop.name loop ^ " on " ^ cfg.label) (rewritten_exn body))
+              bodies)
+          (Lazy.force corpus));
     qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
         let loop = loop_of_seed seed in
         List.for_all
@@ -483,18 +477,12 @@ let liveness_oracle_tests =
         List.iter (fun loop -> check_liveness (Ir.Loop.name loop) loop) (Workload.Suite.loops ()));
     slow_case "rewritten-bodies" (fun () ->
         List.iter
-          (fun loop ->
+          (fun (loop, bodies) ->
             List.iter
-              (fun (cfg : Core.Experiment.config) ->
-                match Partition.Driver.pipeline ~machine:cfg.machine loop with
-                | Error e ->
-                    Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
-                | Ok r ->
-                    check_liveness
-                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
-                      r.Partition.Driver.rewritten)
-              Core.Experiment.paper_configs)
-          (Workload.Suite.loops ()));
+              (fun ((cfg : Core.Experiment.config), body) ->
+                check_liveness (Ir.Loop.name loop ^ " on " ^ cfg.label) (rewritten_exn body))
+              bodies)
+          (Lazy.force corpus));
     qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
         let loop = loop_of_seed seed in
         List.for_all
@@ -970,18 +958,15 @@ let depan_matches_reference ?latency loop =
    rewritten (copy-inserted) forms on the paper's geometries. *)
 let suite_and_rewritten_bodies () =
   List.concat_map
-    (fun loop ->
+    (fun (loop, bodies) ->
       loop
       :: List.filter_map
-           (fun clusters ->
-             let machine =
-               Mach.Machine.paper_clustered ~clusters ~copy_model:Mach.Machine.Embedded
-             in
-             match Partition.Driver.pipeline ~machine loop with
-             | Error _ -> None
-             | Ok r -> Some r.Partition.Driver.rewritten)
-           [ 2; 4; 8 ])
-    (Workload.Suite.loops ())
+           (fun ((cfg : Core.Experiment.config), body) ->
+             match (cfg.copy_model, body) with
+             | Mach.Machine.Embedded, Ok body -> Some body
+             | _ -> None)
+           bodies)
+    (Lazy.force corpus)
 
 let depan_ref_tests =
   [
@@ -1024,13 +1009,19 @@ let mismatched_ddgs ~seed loop other =
     [| Ddg.Dep.Flow; Ddg.Dep.Anti; Ddg.Dep.Output; Ddg.Dep.Mem Ddg.Dep.Mem_flow;
        Ddg.Dep.Mem Ddg.Dep.Mem_anti; Ddg.Dep.Mem Ddg.Dep.Mem_output |]
   in
-  let salted = Ddg.Graph.of_loop loop in
+  (* Drawn in the order the arguments of one [Digraph.add_edge] call
+     are evaluated (right to left), as when the edges were added to a
+     mutable graph. *)
+  let salt = ref [] in
   for _ = 1 to 1 + Random.State.int st 6 do
-    Graphlib.Digraph.add_edge (Ddg.Graph.graph salted) ~src:(pick ()) ~dst:(pick ())
-      (Ddg.Dep.make
-         ~kind:kinds.(Random.State.int st (Array.length kinds))
-         ~latency:(Random.State.int st 4) ~distance:(Random.State.int st 3))
+    let distance = Random.State.int st 3 in
+    let latency = Random.State.int st 4 in
+    let kind = kinds.(Random.State.int st (Array.length kinds)) in
+    let dst = pick () in
+    let src = pick () in
+    salt := (src, dst, Ddg.Dep.make ~kind ~latency ~distance) :: !salt
   done;
+  let salted = Ddg.Graph.add_edges (Ddg.Graph.of_loop loop) (List.rev !salt) in
   (* Every store one element further on: memory distances grow. *)
   let shifted =
     Ir.Loop.with_ops loop

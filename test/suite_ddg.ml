@@ -346,18 +346,19 @@ let oracle_tests =
           [ 1; 4 ]);
     slow_case "rec-mii-matches-reference-on-suite" (fun () ->
         List.iter
-          (fun loop ->
+          (fun (loop, bodies) ->
             let name = Ir.Loop.name loop in
             check_against_reference name (Ddg.Graph.of_loop loop);
             List.iter
-              (fun (m : Mach.Machine.t) ->
-                match Partition.Driver.pipeline ~machine:m loop with
-                | Error e -> Alcotest.fail (name ^ ": " ^ e.Verify.Stage_error.message)
-                | Ok r ->
-                    check_against_reference (name ^ " rewritten")
-                      (Ddg.Graph.of_loop ~latency:m.latency r.Partition.Driver.rewritten))
-              [ m2x8e; m8x2c ])
-          (Workload.Suite.loops ()));
+              (fun ((cfg : Core.Experiment.config), body) ->
+                if
+                  (cfg.clusters, cfg.copy_model) = (2, Mach.Machine.Embedded)
+                  || (cfg.clusters, cfg.copy_model) = (8, Mach.Machine.Copy_unit)
+                then
+                  check_against_reference (name ^ " rewritten")
+                    (Ddg.Graph.of_loop ~latency:cfg.machine.latency (rewritten_exn body)))
+              bodies)
+          (Lazy.force corpus));
   ]
 
 (* The reference DDG build: a scan over every ordered pair of ops, with
@@ -485,14 +486,99 @@ let reference_slack ddg =
   let cp = Hashtbl.fold (fun id d acc -> max acc (d + Hashtbl.find tail id)) asap 0 in
   (asap, (fun id -> cp - Hashtbl.find tail id), cp)
 
+(* RecMII over a [Graphlib.Digraph], kept verbatim from before
+   [Ddg.Minii] read the DDG's rows ([upper_bound] is passed in as [top],
+   and the SCCs come from the verbatim table-based Tarjan). *)
+module Minii_ref = struct
+  (* One SCC's internal edges as int arrays over dense local indices.
+     [hi] is 1 + the sum over its nodes of their largest intra-SCC
+     out-edge latency: every simple circuit stays below it. *)
+  type scc = { n : int; src : int array; dst : int array; lat : int array; dist : int array; hi : int }
+
+  let scc_of g comp =
+    let index = Hashtbl.create 16 in
+    List.iteri (fun i v -> Hashtbl.replace index v i) comp;
+    let edges = ref [] and hi = ref 1 in
+    List.iter
+      (fun v ->
+        let max_lat = ref 0 in
+        List.iter
+          (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) ->
+            match Hashtbl.find_opt index e.dst with
+            | None -> ()
+            | Some j ->
+                max_lat := max !max_lat (Ddg.Dep.latency e.label);
+                edges := (Hashtbl.find index v, j, e.label) :: !edges)
+          (Graphlib.Digraph.succs g v);
+        hi := !hi + !max_lat)
+      comp;
+    let edges = Array.of_list !edges in
+    let field f = Array.map f edges in
+    {
+      n = List.length comp;
+      src = field (fun (s, _, _) -> s);
+      dst = field (fun (_, d, _) -> d);
+      lat = field (fun (_, _, l) -> Ddg.Dep.latency l);
+      dist = field (fun (_, _, l) -> Ddg.Dep.distance l);
+      hi = !hi;
+    }
+
+  (* Longest-path Bellman-Ford under weight [lat - ii*dist], every node
+     starting at 0: a positive cycle exists iff each of the first [n]
+     rounds still relaxes some edge. *)
+  let feasible s ii =
+    let d = Array.make s.n 0 in
+    let relax () =
+      let changed = ref false in
+      for k = 0 to Array.length s.src - 1 do
+        let c = d.(s.src.(k)) + s.lat.(k) - (ii * s.dist.(k)) in
+        if c > d.(s.dst.(k)) then begin
+          d.(s.dst.(k)) <- c;
+          changed := true
+        end
+      done;
+      !changed
+    in
+    let rec run i = i > s.n || (relax () && run (i + 1)) in
+    not (run 1)
+
+  let rec_mii ~top g =
+    (* Every circuit lives inside one SCC, and the whole body is feasible at
+       II iff each SCC is. Within an SCC, cycle weight Σlat − II·Σdist is
+       strictly decreasing in II for any circuit (every circuit carries
+       distance >= 1 in a well-formed body), so feasibility is monotone and
+       binary search applies; the running maximum over the SCCs already
+       searched is each search's lower bound. An SCC infeasible at its own
+       [hi] has a zero-distance circuit and no feasible II at all: the
+       answer is then [upper_bound], as for a search over the whole graph. *)
+    let rec search s lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if feasible s mid then search s lo mid else search s (mid + 1) hi
+    in
+    let per_scc lo comp =
+      let s = scc_of g comp in
+      let hi = max lo s.hi in
+      let r = search s lo (hi + 1) in
+      if r > hi then top else r
+    in
+    min top (List.fold_left per_scc 1 (Scc_ref.nontrivial g))
+end
+
 (* [ddg] against the reference build of [ops]: every node's [succs] and
    [preds] equal, order and labels included; every distance-0 edge
-   forward in body order; and Slack's ASAP/ALAP equal to the reference.
-   Returns an error message naming the first mismatch. *)
-let against_reference ?latency ~carried ops ddg =
-  let g = Ddg.Graph.graph ddg and r = reference_graph ?latency ~carried ops in
+   forward in body order; Slack's ASAP/ALAP equal to the reference;
+   every node's compressed successor and predecessor rows equal to the
+   reference's [succs] and [preds], element by element; and the upper
+   bound and RecMII equal to the verbatim Digraph computation's on the
+   reference graph. Returns an error message naming the first
+   mismatch. *)
+let against_reference ?(latency = Mach.Latency.paper) ~carried ops ddg =
+  let g = Ddg.Graph.graph ddg and r = reference_graph ~latency ~carried ops in
   let pos = Hashtbl.create 64 in
-  List.iteri (fun k id -> Hashtbl.replace pos id k) ddg.Ddg.Graph.order;
+  let order = List.map Ir.Op.id (Ddg.Graph.ops_in_order ddg) in
+  List.iteri (fun k id -> Hashtbl.replace pos id k) order;
   let sl = Sched.Slack.analyze ddg in
   let asap, alap, cp = reference_slack ddg in
   let bad = ref [] in
@@ -508,8 +594,26 @@ let against_reference ?latency ~carried ops ddg =
             fail "op%d -> op%d: distance-0 edge not forward in body order" e.src e.dst)
         (Graphlib.Digraph.succs g id);
       if Sched.Slack.asap sl id <> Hashtbl.find asap id then fail "op%d: asap differs" id;
-      if Sched.Slack.alap sl id <> alap id then fail "op%d: alap differs" id)
-    ddg.Ddg.Graph.order;
+      if Sched.Slack.alap sl id <> alap id then fail "op%d: alap differs" id;
+      let v = Ddg.Graph.index ddg id in
+      let row off far label =
+        List.init (off.(v + 1) - off.(v)) (fun j ->
+            let k = off.(v) + j in
+            (ddg.Ddg.Graph.ids.(far.(k)), label ddg k))
+      in
+      let ends far = List.map (fun (e : Ddg.Dep.t Graphlib.Digraph.edge) -> (far e, e.label)) in
+      if
+        row ddg.Ddg.Graph.succ_off ddg.Ddg.Graph.succ_node Ddg.Graph.succ_label
+        <> ends (fun e -> e.dst) (Graphlib.Digraph.succs r id)
+      then fail "op%d: successor row differs" id;
+      if
+        row ddg.Ddg.Graph.pred_off ddg.Ddg.Graph.pred_node Ddg.Graph.pred_label
+        <> ends (fun e -> e.src) (Graphlib.Digraph.preds r id)
+      then fail "op%d: predecessor row differs" id)
+    order;
+  let top = List.fold_left (fun acc op -> acc + Ir.Op.latency latency op) 1 ops in
+  if Ddg.Minii.upper_bound ddg <> top then fail "upper bound differs";
+  if Ddg.Minii.rec_mii ddg <> Minii_ref.rec_mii ~top r then fail "rec_mii differs";
   if Sched.Slack.critical_path sl <> cp then fail "critical path differs";
   match List.rev !bad with [] -> Ok () | m :: _ -> Error m
 
@@ -530,20 +634,16 @@ let build_oracle_tests =
           (Workload.Suite.loops ()));
     slow_case "rewritten-bodies" (fun () ->
         List.iter
-          (fun loop ->
+          (fun (loop, bodies) ->
             List.iter
-              (fun (cfg : Core.Experiment.config) ->
-                let m = cfg.machine in
-                match Partition.Driver.pipeline ~machine:m loop with
-                | Error e -> Alcotest.fail (Ir.Loop.name loop ^ ": " ^ e.Verify.Stage_error.message)
-                | Ok r ->
-                    let body = r.Partition.Driver.rewritten in
-                    check_reference
-                      (Ir.Loop.name loop ^ " on " ^ cfg.label)
-                      ~latency:m.latency ~carried:true (Ir.Loop.ops body)
-                      (Ddg.Graph.of_loop ~latency:m.latency body))
-              Core.Experiment.paper_configs)
-          (Workload.Suite.loops ()));
+              (fun ((cfg : Core.Experiment.config), body) ->
+                let m = cfg.machine and body = rewritten_exn body in
+                check_reference
+                  (Ir.Loop.name loop ^ " on " ^ cfg.label)
+                  ~latency:m.latency ~carried:true (Ir.Loop.ops body)
+                  (Ddg.Graph.of_loop ~latency:m.latency body))
+              bodies)
+          (Lazy.force corpus));
     qcheck ~count:60 "random-loops-unrolled" gen_loop_seed (fun seed ->
         let loop = loop_of_seed seed in
         List.for_all

@@ -196,10 +196,77 @@ let ungraph_tests =
         List.sort compare all = Graphlib.Ungraph.nodes g);
   ]
 
+(* [Graphlib.Scc] over compressed rows against the verbatim table-based
+   Tarjan ([Testlib.Scc_ref]): the same components in the same order,
+   the same non-trivial ones, and the same condensation ([comp_of] is
+   now indexed by a node's rank in [Digraph.nodes] rather than by its
+   id). Returns the first difference. *)
+let scc_against_ref g =
+  let nodes = Graphlib.Digraph.nodes g in
+  let comp_of, dag = Graphlib.Scc.condensation g in
+  let comp_of', dag' = Scc_ref.condensation g in
+  if Graphlib.Scc.tarjan g <> Scc_ref.tarjan g then Some "tarjan"
+  else if Graphlib.Scc.nontrivial g <> Scc_ref.nontrivial g then Some "nontrivial"
+  else if Array.length comp_of <> List.length nodes then Some "comp_of length"
+  else if List.exists2 (fun i v -> comp_of.(i) <> comp_of'.(v)) (List.init (List.length nodes) Fun.id) nodes
+  then Some "comp_of"
+  else if Graphlib.Digraph.nodes dag <> Graphlib.Digraph.nodes dag' then Some "dag nodes"
+  else if Graphlib.Digraph.edges dag <> Graphlib.Digraph.edges dag' then Some "dag edges"
+  else None
+
+(* Up to 30 nodes numbered [3 + stride × rank] (sparse for the larger
+   strides), every one added (so some are isolated), and random edges
+   between them, self-loops and duplicates included. *)
+let gen_sparse_digraph =
+  QCheck2.Gen.(
+    triple (int_range 0 30) (oneofl [ 1; 7; 1009 ])
+      (list_size (int_range 0 60) (pair (int_range 0 29) (int_range 0 29))))
+
+let sparse_digraph (n, stride, edges) =
+  let g = Graphlib.Digraph.create () in
+  let id i = 3 + (stride * i) in
+  for i = 0 to n - 1 do
+    Graphlib.Digraph.add_node g (id i)
+  done;
+  if n > 0 then
+    List.iter
+      (fun (a, b) -> Graphlib.Digraph.add_edge g ~src:(id (a mod n)) ~dst:(id (b mod n)) ())
+      edges;
+  g
+
+(* The dense entry point RecMII calls, on a DDG's own rows, against the
+   reference over the DDG's derived Digraph. *)
+let ddg_scc_against_ref name (ddg : Ddg.Graph.t) =
+  let g = Ddg.Graph.graph ddg in
+  let ids = List.map (List.map (fun v -> ddg.ids.(v))) in
+  (match scc_against_ref g with Some what -> Alcotest.failf "%s: %s differs" name what | None -> ());
+  check Alcotest.(list (list int)) (name ^ " components") (Scc_ref.tarjan g)
+    (ids (Graphlib.Scc.components ~off:ddg.succ_off ~succ:ddg.succ_node));
+  check Alcotest.(list (list int)) (name ^ " non-trivial components") (Scc_ref.nontrivial g)
+    (ids (Graphlib.Scc.nontrivial_components ~off:ddg.succ_off ~succ:ddg.succ_node))
+
+let scc_ref_tests =
+  [
+    qcheck ~count:300 "random-sparse-digraphs" gen_sparse_digraph (fun spec ->
+        scc_against_ref (sparse_digraph spec) = None);
+    slow_case "suite-source-and-rewritten-ddgs" (fun () ->
+        List.iter
+          (fun (loop, bodies) ->
+            let name = Ir.Loop.name loop in
+            ddg_scc_against_ref name (Ddg.Graph.of_loop loop);
+            List.iter
+              (fun ((cfg : Core.Experiment.config), body) ->
+                ddg_scc_against_ref (name ^ " on " ^ cfg.label)
+                  (Ddg.Graph.of_loop ~latency:cfg.machine.latency (rewritten_exn body)))
+              bodies)
+          (Lazy.force corpus));
+  ]
+
 let suite =
   [
     ("graphlib.digraph", digraph_tests);
     ("graphlib.scc", scc_tests);
+    ("graphlib.scc-ref", scc_ref_tests);
     ("graphlib.topo", topo_tests);
     ("graphlib.cycles", cycles_tests);
     ("graphlib.ungraph", ungraph_tests);

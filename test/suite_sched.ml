@@ -530,9 +530,64 @@ let expand_tests =
         true);
   ]
 
+(* A body whose op ids are far apart schedules exactly like the same
+   body numbered densely, in time that does not grow with the ids: the
+   schedulers and the checker index by the DDG's id ranks. *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+let sparse_id_tests =
+  let loop = Option.get (Workload.Suite.by_name "daxpy-u4") in
+  let renumber k =
+    Ir.Loop.with_ops loop
+      (List.map (fun op -> Ir.Op.with_id op (Ir.Op.id op * k)) (Ir.Loop.ops loop))
+  in
+  (* (original id, cycle, cluster) of every placement, sorted. *)
+  let shape ~k placements =
+    List.sort compare
+      (List.map
+         (fun (p : Sched.Schedule.placement) -> (Ir.Op.id p.op / k, p.cycle, p.cluster))
+         placements)
+  in
+  let within what seconds =
+    if seconds > 0.2 then Alcotest.failf "%s took %.3f s" what seconds
+  in
+  List.map
+    (fun k ->
+      case (Printf.sprintf "ids-times-%d" k) (fun () ->
+          let dense = Ddg.Graph.of_loop loop and sparse = Ddg.Graph.of_loop (renumber k) in
+          let flat d = Sched.List_sched.ideal ~machine:ideal16 d in
+          let kernel d = (Option.get (Sched.Modulo.ideal ~machine:ideal16 d)).Sched.Modulo.kernel in
+          let flat_s, t = timed (fun () -> flat sparse) in
+          within "List_sched.ideal" t;
+          check
+            Alcotest.(list (triple int int int))
+            "flat schedule"
+            (shape ~k:1 (Sched.Schedule.placements (flat dense)))
+            (shape ~k (Sched.Schedule.placements flat_s));
+          let kernel_s, t = timed (fun () -> kernel sparse) in
+          within "Modulo.ideal" t;
+          check Alcotest.int "ii" (Sched.Kernel.ii (kernel dense)) (Sched.Kernel.ii kernel_s);
+          check
+            Alcotest.(list (triple int int int))
+            "kernel"
+            (shape ~k:1 (Sched.Kernel.placements (kernel dense)))
+            (shape ~k (Sched.Kernel.placements kernel_s));
+          let diags, t =
+            timed (fun () ->
+                Verify.Sched_check.kernel ~machine:ideal16 ~ddg:sparse kernel_s
+                @ Verify.Sched_check.flat ~machine:ideal16 ~ddg:sparse flat_s)
+          in
+          within "Sched_check" t;
+          check Alcotest.int "no findings" 0 (List.length diags)))
+    [ 1009; 1000003 ]
+
 let suite =
   [
     ("sched.schedule", schedule_tests);
+    ("sched.sparse-ids", sparse_id_tests);
     ("sched.slack", slack_tests);
     ("sched.restab", restab_tests);
     ("sched.list", list_sched_tests);
